@@ -9,6 +9,8 @@
 // and fails on >25% regression of any baselined counter.
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "airnet/network.h"
@@ -19,10 +21,12 @@
 #include "fault/mission_sim.h"
 #include "fleet/engine.h"
 #include "geo/geodesy.h"
+#include "io/json.h"
 #include "link/multilink.h"
 #include "mac/link.h"
 #include "phy/per_table.h"
 #include "policy/compiler.h"
+#include "policy/server.h"
 #include "policy/service.h"
 #include "sim/simulator.h"
 
@@ -84,44 +88,85 @@ void BM_ReDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_ReDecision);
 
+// A compiled table over the airplane scenario and 1024 queries inside
+// it, shared by the two batch benchmarks below so they time the same
+// decisions. The table is compiled once per benchmark at setup (a few
+// hundred exact solves on the thread pool).
+struct PolicyBatch {
+  static constexpr std::size_t kBatch = 1024;
+  core::PaperLogThroughput model = core::Scenario::airplane().paper_throughput();
+  policy::DecisionService service{model};
+  std::vector<policy::Query> queries{kBatch};
+
+  PolicyBatch() {
+    policy::CompilerConfig cfg;
+    cfg.d0 = {60.0, 300.0, 7};
+    cfg.speed = {2.0, 20.0, 5};
+    cfg.mdata = {5e6, 6e7, 5, true};
+    cfg.rho = {1e-4, 5e-3, 7, true};
+    service.install_table(policy::Compiler(cfg).compile());
+    sim::Rng rng(7);
+    for (auto& q : queries) {
+      q.d0_m = rng.uniform(60.0, 300.0);
+      q.speed_mps = rng.uniform(2.0, 20.0);
+      q.mdata_bytes = rng.uniform(5e6, 6e7);
+      q.rho_per_m = rng.uniform(1e-4, 5e-3);
+    }
+  }
+};
+
 // The compiled-policy hot path: a 1024-query batch through
 // DecisionService::decide with every query served by the table backend
 // (O(1) 4-D interpolation + one exact utility evaluation at d*). The
 // service contract is >= 1e6 decisions/s on one core — amortized <= 1 us
 // per decision — which bench_regress.sh pins as an absolute ceiling on
-// top of the relative regression gate. The table is compiled once at
-// setup (a few hundred exact solves on the thread pool); the measured
-// loop performs zero steady-state allocations.
+// top of the relative regression gate. The measured loop performs zero
+// steady-state allocations.
 void BM_PolicyDecideBatch(benchmark::State& state) {
-  policy::CompilerConfig cfg;
-  cfg.d0 = {60.0, 300.0, 7};
-  cfg.speed = {2.0, 20.0, 5};
-  cfg.mdata = {5e6, 6e7, 5, true};
-  cfg.rho = {1e-4, 5e-3, 7, true};
-  const auto scen = core::Scenario::airplane();
-  const auto model = scen.paper_throughput();
-  policy::DecisionService service(model);
-  service.install_table(policy::Compiler(cfg).compile());
-
-  constexpr std::size_t kBatch = 1024;
-  std::vector<policy::Query> queries(kBatch);
-  std::vector<policy::Decision> answers(kBatch);
-  sim::Rng rng(7);
-  for (auto& q : queries) {
-    q.d0_m = rng.uniform(60.0, 300.0);
-    q.speed_mps = rng.uniform(2.0, 20.0);
-    q.mdata_bytes = rng.uniform(5e6, 6e7);
-    q.rho_per_m = rng.uniform(1e-4, 5e-3);
-  }
+  PolicyBatch b;
+  std::vector<policy::Decision> answers(PolicyBatch::kBatch);
   for (auto _ : state) {
-    service.decide(std::span<const policy::Query>(queries),
-                   std::span<policy::Decision>(answers));
+    b.service.decide(std::span<const policy::Query>(b.queries),
+                     std::span<policy::Decision>(answers));
     benchmark::DoNotOptimize(answers.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatch);
-  if (service.counters().exact != 0) state.SkipWithError("query escaped the table path");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * PolicyBatch::kBatch);
+  if (b.service.counters().exact != 0) state.SkipWithError("query escaped the table path");
 }
 BENCHMARK(BM_PolicyDecideBatch);
+
+// The same 1024 decisions served the way a skyferry_decide client gets
+// them: one begin/end batch of text lines through policy::LineServer on
+// in-memory streams, parsed, decided, formatted and written back. The
+// fields are printed round-trip exact, so the server decides the very
+// queries BM_PolicyDecideBatch does; bench_regress.sh pins the decide
+// share of the served batch (BM_PolicyDecideBatch / this) as a floor.
+void BM_LineServerBatch(benchmark::State& state) {
+  PolicyBatch b;
+  std::string request = "begin\n";
+  for (const policy::Query& q : b.queries) {
+    for (const double x : {q.d0_m, q.speed_mps, q.mdata_bytes, q.rho_per_m}) {
+      io::append_json_number(request, x);
+      request += ' ';
+    }
+    request.back() = '\n';
+  }
+  request += "end\n";
+  policy::ServerOptions opt;
+  opt.banner = false;
+  const policy::LineServer server(b.service, opt);
+  std::size_t served = 0;
+  for (auto _ : state) {
+    std::istringstream in(request);
+    std::ostringstream out;
+    served = server.run(in, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * PolicyBatch::kBatch);
+  if (served != PolicyBatch::kBatch) state.SkipWithError("batch not fully served");
+  if (b.service.counters().exact != 0) state.SkipWithError("query escaped the table path");
+}
+BENCHMARK(BM_LineServerBatch);
 
 // One full joint (link, d) decision over all four backends: 5 searches
 // (4 single + 1 joint at the elected link) plus the dominance-net

@@ -6,7 +6,8 @@
 # records it as the committed baseline or fails on >TOLERANCE% regression
 # of any baselined counter. The baseline also pins the headline claims:
 # SPEEDUPS requires counter ratios (kAggregate vs kPerMpdu link-second,
-# batched fleet step vs event-driven airnet step), and CEILING_NS pins
+# batched fleet step vs event-driven airnet step, the decide share of a
+# batch served through LineServer), and CEILING_NS pins
 # absolute budgets for latency-contract counters (a relative gate would
 # let a slow-but-stable baseline hide a blown contract — BM_ReDecision
 # must fit in a probe tick, so it gets a hard 10 us ceiling).
@@ -69,9 +70,13 @@ import json, os, sys
 #   - kPerMpdu / kAggregate saturated link-second >= 10x (PR 3)
 #   - event-driven airnet step / batched fleet step at n=1000 >= 20x
 #     (DESIGN.md §12 — the fleet engine's reason to exist)
+#   - table decide / the same batch served through LineServer: the
+#     decisions' share of a served batch, a floor the stream-parsing,
+#     printf-formatting protocol fell below (DESIGN.md §11)
 SPEEDUPS = [
     ("aggregate link-second", "BM_LinkSimSecondPerMpdu", "BM_LinkSimSecondAggregate", 10.0),
     ("fleet vs event-driven step @1k", "BM_AirnetStep1k", "BM_FleetStep1k", 20.0),
+    ("decide share of a served batch", "BM_PolicyDecideBatch", "BM_LineServerBatch", 0.1),
 ]
 # Absolute real-time ceilings [ns], enforced in --update and --check:
 # these are latency contracts, not regression baselines.
@@ -130,7 +135,7 @@ for name in sorted(current):
     print(f"{name:44s} {current[name]:>11.0f} ns")
 sps = speedups(current)
 for label, sp, floor in sps:
-    print(f"{f'speedup ({label})':44s} {sp:>10.1f} x  (floor {floor:.0f}x)")
+    print(f"{f'speedup ({label})':44s} {sp:>10.2f} x  (floor {floor:g}x)")
 
 def ceiling_failures(times, ceilings):
     out = []
@@ -148,7 +153,7 @@ def speedup_failures(times, pairs):
             out.append(f"speedup ({label}): counter {num} or {den} missing")
         elif times[den] <= 0 or times[num] / times[den] < float(floor):
             got = times[num] / times[den] if times[den] > 0 else float("inf")
-            out.append(f"speedup ({label}): {got:.1f}x < required {float(floor):.1f}x")
+            out.append(f"speedup ({label}): {got:.2f}x < required {float(floor):g}x")
     return out
 
 if mode == "update":

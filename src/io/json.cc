@@ -1,9 +1,10 @@
 #include "io/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 namespace skyferry::io {
 
@@ -37,14 +38,27 @@ const Json* Json::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
-  char buf[64];
-  for (int prec : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";  // JSON has no inf/nan
+    return;
   }
-  return buf;
+  // %.17g of a finite double is at most 24 characters.
+  char buf[32];
+  char* end = buf;
+  for (int prec : {15, 16, 17}) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
+  }
+  out.append(buf, end);
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 namespace {
@@ -85,7 +99,7 @@ void Json::dump_into(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; return;
     case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: out += json_number(number_); return;
+    case Type::kNumber: append_json_number(out, number_); return;
     case Type::kString: escape_string(out, string_); return;
     case Type::kArray: {
       if (items_.empty()) {
@@ -155,7 +169,7 @@ class Parser {
 
  private:
   void fill_error(std::string* error) const {
-    if (error) *error = err_ + " at offset " + std::to_string(pos_);
+    if (error) *error = err_ + " at byte " + std::to_string(pos_);
   }
 
   void skip_ws() {
@@ -191,8 +205,17 @@ class Parser {
         out = Json(std::move(s));
         return true;
       }
-      case '[': return parse_array(out);
-      case '{': return parse_object(out);
+      case '[':
+      case '{': {
+        if (depth_ == Json::kMaxDepth) {
+          err_ = "nesting too deep";
+          return false;
+        }
+        ++depth_;
+        const bool ok = text_[pos_] == '[' ? parse_array(out) : parse_object(out);
+        --depth_;
+        return ok;
+      }
       default: return parse_number(out);
     }
   }
@@ -230,8 +253,17 @@ class Parser {
       }
       while (digit()) ++pos_;
     }
-    const std::string span(text_.substr(start, pos_ - start));
-    out = Json(std::strtod(span.c_str(), nullptr));
+    // The span is grammar-checked, so from_chars consumes all of it and
+    // rounds exactly as strtod does. Only out-of-range literals differ:
+    // from_chars leaves the value unset there, and strtod's ±HUGE_VAL or
+    // zero is kept so overflow and underflow parse as they always have.
+    double v = 0.0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, v).ec ==
+        std::errc::result_out_of_range) {
+      const std::string span(text_.substr(start, pos_ - start));
+      v = std::strtod(span.c_str(), nullptr);
+    }
+    out = Json(v);
     return true;
   }
 
@@ -394,6 +426,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_{0};
+  int depth_{0};  ///< arrays/objects open at pos_
   std::string err_{"parse error"};
 };
 

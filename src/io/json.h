@@ -3,6 +3,12 @@
 // other machine-readable output the benches emit. Objects preserve
 // insertion order so a regenerated golden diffs cleanly against the
 // committed one.
+//
+// This header also owns the repository's one number codec:
+// append_json_number() writes a double (Json::dump, json_number, the
+// skyferry_decide answers and the policy-table checksum all go through
+// it) and the parser reads numbers with std::from_chars, so both
+// directions are locale-independent and allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -76,9 +82,14 @@ class Json {
   /// (shortest representation that parses back exactly).
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Strict parser (no trailing garbage, no comments). On failure
-  /// returns nullopt and, when `error` is non-null, a message with the
-  /// byte offset of the problem.
+  /// Arrays and objects nested deeper than this are rejected by parse():
+  /// the parser recurses once per level, so an unbounded document could
+  /// exhaust the stack. Committed files nest at most 4 levels deep.
+  static constexpr int kMaxDepth = 256;
+
+  /// Strict parser (no trailing garbage, no comments, nesting at most
+  /// kMaxDepth). On failure returns nullopt and, when `error` is
+  /// non-null, a message with the byte offset of the problem.
   [[nodiscard]] static std::optional<Json> parse(std::string_view text,
                                                  std::string* error = nullptr);
 
@@ -93,8 +104,16 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
-/// Number formatting used by Json::dump: the shortest of %.15g/%.16g/%.17g
-/// that parses back bit-identically (so goldens stay stable and exact).
+/// Append the number formatting used by Json::dump: the first of
+/// %.15g/%.16g/%.17g (C locale) that parses back bit-identically, so
+/// goldens stay stable and exact; "null" for a non-finite value (JSON
+/// has no inf/nan). Built on std::to_chars/std::from_chars, whose
+/// precision form is defined as printf's, so the bytes are the ones the
+/// snprintf/strtod loop it replaced produced. Allocation-free when `out`
+/// has capacity.
+void append_json_number(std::string& out, double v);
+
+/// append_json_number into a fresh string.
 [[nodiscard]] std::string json_number(double v);
 
 }  // namespace skyferry::io

@@ -51,6 +51,37 @@ enum class Backend : std::uint8_t {
 [[nodiscard]] const char* to_string(Objective o) noexcept;
 [[nodiscard]] const char* to_string(Backend b) noexcept;
 
+/// Why a Query is outside the physical domain (Query::validate()). The
+/// skyferry_decide server rejects such a line with
+/// "err invalid-query <tag>"; DecisionService itself does not check.
+enum class QueryError : std::uint8_t {
+  kNone,
+  kNegativeD0,          ///< d0 < 0
+  kNonPositiveSpeed,    ///< v <= 0
+  kNegativeMdata,       ///< Mdata < 0
+  kNegativeRho,         ///< ρ < 0
+  kNegativeMinDistance  ///< min_d < 0
+};
+
+/// Stable log tag for a QueryError.
+[[nodiscard]] constexpr const char* to_string(QueryError e) noexcept {
+  switch (e) {
+    case QueryError::kNegativeD0:
+      return "d0-negative";
+    case QueryError::kNonPositiveSpeed:
+      return "speed-not-positive";
+    case QueryError::kNegativeMdata:
+      return "mdata-negative";
+    case QueryError::kNegativeRho:
+      return "rho-negative";
+    case QueryError::kNegativeMinDistance:
+      return "min-d-negative";
+    case QueryError::kNone:
+      break;
+  }
+  return "none";
+}
+
 /// One decision request. Defaults describe the common case (paper
 /// utility, exponential failure law, the service's own throughput
 /// model); the optional fields widen the same struct to the other three
@@ -90,6 +121,17 @@ struct Query {
   /// the burst election to one link index of the installed LinkSet
   /// (-1 = elect the best link jointly with d).
   std::int32_t burst_link{-1};
+
+  /// First physical-domain violation among d0, v, Mdata, ρ and min_d, in
+  /// that order; a NaN field fails its check. kNone when all hold.
+  [[nodiscard]] constexpr QueryError validate() const noexcept {
+    if (!(d0_m >= 0.0)) return QueryError::kNegativeD0;
+    if (!(speed_mps > 0.0)) return QueryError::kNonPositiveSpeed;
+    if (!(mdata_bytes >= 0.0)) return QueryError::kNegativeMdata;
+    if (!(rho_per_m >= 0.0)) return QueryError::kNegativeRho;
+    if (!(min_distance_m >= 0.0)) return QueryError::kNegativeMinDistance;
+    return QueryError::kNone;
+  }
 };
 
 /// One decision answer.

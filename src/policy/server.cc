@@ -1,8 +1,12 @@
 #include "policy/server.h"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "io/json.h"
@@ -10,41 +14,84 @@
 namespace skyferry::policy {
 namespace {
 
+constexpr std::string_view kUsage = "expected: <d0> <v> <mdata> <rho> [min_d]";
+
+/// The C locale's isspace set, so a line reads the same in any locale.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// One field: the whole token must be a finite double, optionally after
+/// a single '+'. Glued garbage ("1e-4x"), out-of-range literals and
+/// inf/nan all fail.
+bool parse_field(std::string_view tok, double* out) noexcept {
+  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '-') tok.remove_prefix(1);
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return ec == std::errc{} && ptr == end && std::isfinite(*out);
+}
+
 /// Parse "<d0> <v> <mdata> <rho> [min_d]" into a query stamped from the
 /// template. Returns false with a message on any malformed field.
-bool parse_query(const std::string& line, const Query& defaults, Query* out, std::string* err) {
-  std::istringstream fields(line);
+bool parse_query(std::string_view line, const Query& defaults, Query* out, std::string* err) {
   Query q = defaults;
-  if (!(fields >> q.d0_m >> q.speed_mps >> q.mdata_bytes >> q.rho_per_m)) {
-    *err = "expected: <d0> <v> <mdata> <rho> [min_d]";
+  double* const fields[] = {&q.d0_m, &q.speed_mps, &q.mdata_bytes, &q.rho_per_m,
+                            &q.min_distance_m};
+  std::size_t n = 0;
+  for (std::size_t i = 0;; ++n) {
+    while (i < line.size() && is_space(line[i])) ++i;
+    if (i == line.size()) break;
+    std::size_t j = i;
+    while (j < line.size() && !is_space(line[j])) ++j;
+    const std::string_view tok = line.substr(i, j - i);
+    i = j;
+    if (n == std::size(fields)) {
+      *err = "trailing garbage '";
+      *err += tok;
+      *err += '\'';
+      return false;
+    }
+    if (!parse_field(tok, fields[n])) {
+      *err = "bad number '";
+      *err += tok;
+      *err += "'; ";
+      *err += kUsage;
+      return false;
+    }
+  }
+  if (n < 4) {
+    *err = kUsage;
     return false;
   }
-  double min_d;
-  if (fields >> min_d) q.min_distance_m = min_d;
-  std::string extra;
-  if (fields >> extra) {
-    *err = "trailing garbage '" + extra + "'";
+  if (const QueryError why = q.validate(); why != QueryError::kNone) {
+    *err = "invalid-query ";
+    *err += to_string(why);
     return false;
   }
   *out = q;
   return true;
 }
 
-}  // namespace
-
-std::string format_decision(const Decision& d) {
-  std::string out = "ok ";
-  out += io::json_number(d.d_opt_m);
+void append_decision(std::string& out, const Decision& d) {
+  out += "ok ";
+  io::append_json_number(out, d.d_opt_m);
   out += ' ';
-  out += io::json_number(d.utility);
+  io::append_json_number(out, d.utility);
   out += ' ';
-  out += io::json_number(d.cdelay_s);
+  io::append_json_number(out, d.cdelay_s);
   out += ' ';
-  out += io::json_number(d.discount);
+  io::append_json_number(out, d.discount);
   out += ' ';
   out += core::to_string(d.boundary);
   out += ' ';
   out += to_string(d.backend);
+}
+
+}  // namespace
+
+std::string format_decision(const Decision& d) {
+  std::string out;
+  append_decision(out, d);
   return out;
 }
 
@@ -56,7 +103,17 @@ std::size_t LineServer::run(std::istream& in, std::ostream& out) const {
   std::size_t served = 0;
   bool batching = false;
   std::vector<Query> batch;
+  // Reused across batches: once they have grown to the largest batch
+  // so far, the answer path allocates nothing.
+  std::vector<Decision> answers;
+  std::string reply;
   std::string line;
+  std::string err;
+  const auto send = [&] {
+    out.write(reply.data(), static_cast<std::streamsize>(reply.size()));
+    out.flush();
+    reply.clear();
+  };
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     if (line == "quit") break;
@@ -79,17 +136,19 @@ std::size_t LineServer::run(std::istream& in, std::ostream& out) const {
         out << "err no open batch\n";
         continue;
       }
-      std::vector<Decision> answers(batch.size());
+      answers.resize(batch.size());
       service_.decide(batch, answers);
-      for (const Decision& d : answers) out << format_decision(d) << '\n';
+      for (const Decision& d : answers) {
+        append_decision(reply, d);
+        reply += '\n';
+      }
+      send();
       served += answers.size();
       batching = false;
       batch.clear();
-      out.flush();
       continue;
     }
     Query q;
-    std::string err;
     if (!parse_query(line, opt_.defaults, &q, &err)) {
       out << "err " << err << '\n';
       continue;
@@ -98,9 +157,10 @@ std::size_t LineServer::run(std::istream& in, std::ostream& out) const {
       batch.push_back(q);
       continue;
     }
-    out << format_decision(service_.decide_one(q)) << '\n';
+    append_decision(reply, service_.decide_one(q));
+    reply += '\n';
+    send();
     ++served;
-    out.flush();
   }
   if (batching) out << "err eof inside open batch (" << batch.size() << " queries dropped)\n";
   return served;

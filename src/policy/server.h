@@ -14,11 +14,25 @@
 //   stats                            "stats table=<n> exact=<n>"
 //   quit                             stop serving (EOF also stops)
 //   # ... / blank                    ignored
+// Field grammar: fields are separated by C-locale whitespace (space, \t,
+// \v, \f, \r). Each field is one token that std::from_chars must read
+// whole, in range, to a finite double; a single leading '+' is allowed.
+// So "1e-4x", "1.2.3", "1e-400" (underflows), "1e400", "inf" and "nan"
+// are all rejected, never read as a prefix or rounded to 0 or ±∞.
 // Responses:
 //   ok <d_opt> <utility> <cdelay> <discount> <boundary> <backend>
-//   err <message>
-// Numbers are emitted with io::json_number, so every served double
+//   err <message>, where <message> is one of
+//     expected: <d0> <v> <mdata> <rho> [min_d]   fewer than four fields
+//     bad number '<token>'; expected: ...       a field outside the grammar
+//     trailing garbage '<token>'                a sixth field
+//     invalid-query <reason>                    Query::validate() failed:
+//       d0-negative | speed-not-positive | mdata-negative | rho-negative |
+//       min-d-negative
+//     no open batch | already batching | eof inside open batch (...)
+// Numbers are emitted with io::append_json_number, so every served double
 // round-trips exactly (a campaign log can be replayed bit-identically).
+// A batch's answers leave in one write, from a buffer reused across
+// batches.
 #pragma once
 
 #include <iosfwd>
@@ -50,8 +64,9 @@ class LineServer {
   ServerOptions opt_;
 };
 
-/// One response line (without the trailing newline) for a decision —
-/// exposed for the one-shot --query mode and the tests.
+/// One response line (without the trailing newline) for a decision, as
+/// LineServer writes it — exposed for callers that log answers and for
+/// the tests.
 [[nodiscard]] std::string format_decision(const Decision& d);
 
 }  // namespace skyferry::policy

@@ -134,6 +134,31 @@ TEST(Json, ParseErrorReportsOffset) {
   EXPECT_NE(error.find("7"), std::string::npos) << error;
 }
 
+TEST(Json, DeepNestingIsRejectedNotACrash) {
+  // A million open brackets used to recurse once per level and overflow
+  // the stack; now the parse stops at the depth cap with a message.
+  constexpr std::size_t kDepth = 1000000;
+  std::string objects;
+  for (std::size_t i = 0; i < kDepth; ++i) objects += "{\"k\":";
+  for (const std::string& text : {std::string(kDepth, '['), objects}) {
+    std::string error;
+    EXPECT_FALSE(Json::parse(text, &error).has_value());
+    EXPECT_NE(error.find("nesting too deep at byte"), std::string::npos) << error;
+  }
+}
+
+TEST(Json, NestingUpToTheCapParses) {
+  const int depth = Json::kMaxDepth;
+  const std::string text = std::string(depth, '[') + std::string(depth, ']');
+  std::string error;
+  const auto j = Json::parse(text, &error);
+  ASSERT_TRUE(j.has_value()) << error;
+  EXPECT_EQ(j->dump(), text);
+  std::string deeper = "[" + text + "]";
+  EXPECT_FALSE(Json::parse(deeper, &error).has_value());
+  EXPECT_EQ(error, "nesting too deep at byte " + std::to_string(depth));
+}
+
 TEST(Json, TypedReadsFallBack) {
   const Json j(1.5);
   EXPECT_EQ(j.as_bool(true), true);      // wrong type -> fallback

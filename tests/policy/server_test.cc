@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -115,6 +116,81 @@ TEST(LineServer, ProtocolErrorsAreReportedNotFatal) {
   // lines[4] is the good query's "ok ..." (the empty batch flushed
   // nothing), served after every error.
   EXPECT_EQ(lines[4].rfind("ok ", 0), 0u) << lines[4];
+}
+
+/// Serve `text` on a banner-less exact-only server; the response lines.
+std::vector<std::string> serve(const std::string& text) {
+  const auto model = core::PaperLogThroughput::airplane();
+  const DecisionService service(model);
+  ServerOptions opt;
+  opt.banner = false;
+  const LineServer server(service, opt);
+  std::istringstream in(text);
+  std::ostringstream out;
+  (void)server.run(in, out);
+  return lines_of(out.str());
+}
+
+TEST(LineServer, GluedGarbageAfterTheFieldsIsRejected) {
+  // A min_d that failed to parse used to leave the stream failed, so the
+  // trailing-garbage check never fired and these were answered "ok".
+  for (const char* line : {"300 10 28e6 2e-3 abc", "300 10 28e6 2e-3x", "1.2.3 4 5 6",
+                           "300 10 28e6 2e-3 40x", "300 10 28e6 1e-4x 40"}) {
+    const auto lines = serve(std::string(line) + "\n");
+    ASSERT_EQ(lines.size(), 1u) << line;
+    EXPECT_EQ(lines[0].rfind("err bad number '", 0), 0u) << line << " -> " << lines[0];
+  }
+}
+
+TEST(LineServer, FieldGrammarIsOneFiniteNumberPerToken) {
+  // Rejected: underflow to zero (istream read it as 0), overflow, inf,
+  // nan, hex, a doubled sign.
+  for (const char* field : {"1e-400", "1e400", "inf", "nan", "-inf", "0x10", "+-3", "++3", "+"}) {
+    const auto lines = serve(std::string("300 10 28e6 ") + field + "\n");
+    ASSERT_EQ(lines.size(), 1u) << field;
+    EXPECT_EQ(lines[0].rfind("err bad number", 0), 0u) << field << " -> " << lines[0];
+  }
+  // Accepted: one leading '+', bare fractions, tabs, a CR line ending
+  // and subnormals, each read as the same query as the plain spelling.
+  const std::string plain = serve("300 10 28e6 2e-3\n").at(0);
+  for (const char* line : {"+300 10 28e6 2e-3", "300.\t10 28e6 .002", "300 10 28e6 2e-3\r",
+                           "  300 10 +2.8e+7 2E-3  "}) {
+    const auto lines = serve(std::string(line) + "\n");
+    ASSERT_EQ(lines.size(), 1u) << line;
+    EXPECT_EQ(lines[0], plain) << line;
+  }
+  EXPECT_EQ(serve("300 10 28e6 4.9e-324\n").at(0).rfind("ok ", 0), 0u);
+}
+
+TEST(LineServer, InvalidQueriesGetATaggedReason) {
+  EXPECT_EQ(serve("-5 0 -1 -1\n"), std::vector<std::string>{"err invalid-query d0-negative"});
+  const auto lines = serve(
+      "300 0 28e6 2e-3\n"
+      "300 -1 28e6 2e-3\n"
+      "300 10 -1 2e-3\n"
+      "300 10 28e6 -2e-3\n"
+      "300 10 28e6 2e-3 -1\n"
+      "0 10 0 0 0\n");
+  ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(lines[0], "err invalid-query speed-not-positive");
+  EXPECT_EQ(lines[1], "err invalid-query speed-not-positive");
+  EXPECT_EQ(lines[2], "err invalid-query mdata-negative");
+  EXPECT_EQ(lines[3], "err invalid-query rho-negative");
+  EXPECT_EQ(lines[4], "err invalid-query min-d-negative");
+  EXPECT_EQ(lines[5].rfind("ok ", 0), 0u) << lines[5];  // zeros are on the boundary, valid
+}
+
+TEST(QueryValidate, TagsTheFirstViolationAndRejectsNaN) {
+  Query q;
+  q.d0_m = 300.0;
+  q.speed_mps = 10.0;
+  EXPECT_EQ(q.validate(), QueryError::kNone);
+  q.speed_mps = std::nan("");
+  EXPECT_EQ(q.validate(), QueryError::kNonPositiveSpeed);
+  q.d0_m = -1.0;
+  EXPECT_EQ(q.validate(), QueryError::kNegativeD0);
+  EXPECT_STREQ(to_string(QueryError::kNegativeD0), "d0-negative");
+  EXPECT_STREQ(to_string(QueryError::kNone), "none");
 }
 
 TEST(LineServer, StatsAndQuitAndEofInsideBatch) {
