@@ -9,6 +9,7 @@
 // and fails on >25% regression of any baselined counter.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,9 +169,10 @@ void BM_LineServerBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_LineServerBatch);
 
-// One full joint (link, d) decision over all four backends: 5 searches
-// (4 single + 1 joint at the elected link) plus the dominance-net
-// evaluation — the spawn-time cost of a multi-link fleet mission.
+// One full joint (link, d) decision over all four backends: 8 searches
+// (4 single-link, then 4 joint — one per burst-link candidate) plus the
+// dominance-net evaluation per joint search, all sharing one tabulated
+// grid — the spawn-time cost of a multi-link fleet mission.
 void BM_MultiLinkDecide(benchmark::State& state) {
   const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
                            link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
@@ -183,6 +185,30 @@ void BM_MultiLinkDecide(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiLinkDecide);
+
+// One fleet re-election: the forced-burst answer for each of the four
+// links, as FleetEngine weighs staying against switching — one
+// per-link pass through the decision service.
+void BM_MultiLinkReElect(benchmark::State& state) {
+  const link::LinkBackendConfig wifi = link::LinkBackendConfig::wifi_80211n();
+  const core::PaperLogThroughput model(wifi.wifi_a, wifi.wifi_b, wifi.name, wifi.wifi_scale,
+                                       wifi.min_distance_m);
+  policy::DecisionService service(model);
+  service.install_links(std::make_shared<const link::LinkSet>(std::vector<link::LinkBackendConfig>{
+      wifi, link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
+      link::LinkBackendConfig::leo()}));
+  policy::Query q;
+  q.d0_m = 1500.0;
+  q.speed_mps = 10.0;
+  q.mdata_bytes = 5e7;
+  q.rho_per_m = 1e-3;
+  std::vector<policy::MultiLinkDecision> answers(4);
+  for (auto _ : state) {
+    service.decide_multilink_per_link(q, answers);
+    benchmark::DoNotOptimize(answers.data());
+  }
+}
+BENCHMARK(BM_MultiLinkReElect);
 
 void BM_PacketErrorRate(benchmark::State& state) {
   const phy::ErrorModel em({}, 0.9);

@@ -73,10 +73,14 @@ import json, os, sys
 #   - table decide / the same batch served through LineServer: the
 #     decisions' share of a served batch, a floor the stream-parsing,
 #     printf-formatting protocol fell below (DESIGN.md §11)
+#   - one exact search / a 4-link joint decision: the joint decision's
+#     8 searches share one tabulated grid; a floor the per-search grid
+#     evaluation (ratio ~0.02-0.03) fell below (DESIGN.md §13)
 SPEEDUPS = [
     ("aggregate link-second", "BM_LinkSimSecondPerMpdu", "BM_LinkSimSecondAggregate", 10.0),
     ("fleet vs event-driven step @1k", "BM_AirnetStep1k", "BM_FleetStep1k", 20.0),
     ("decide share of a served batch", "BM_PolicyDecideBatch", "BM_LineServerBatch", 0.1),
+    ("joint decision vs one exact search", "BM_OptimizeUtility", "BM_MultiLinkDecide", 0.04),
 ]
 # Absolute real-time ceilings [ns], enforced in --update and --check:
 # these are latency contracts, not regression baselines.
@@ -89,9 +93,10 @@ CEILING_NS = {
     "BM_ReDecision": 10_000.0,
     "BM_PolicyDecideBatch": 1_024_000.0,
     "BM_FleetStep1k": 25_000.0,
-    # A joint (link, d) decision over four backends runs five exact
-    # optimizer searches plus the dominance net (~0.4 ms); it must stay
-    # well under a spawn tick so fleets decide exactly, no table needed.
+    # A joint (link, d) decision over four backends runs four single-link
+    # and four joint searches over one tabulated grid, plus the dominance
+    # net (~0.15 ms); it must stay well under a spawn tick so fleets
+    # decide exactly, no table needed.
     "BM_MultiLinkDecide": 1_500_000.0,
     # BM_EventQueue churns a binary heap through the allocator; its
     # median swings ~1.5x between otherwise-identical machines (cache

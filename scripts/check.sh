@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: normal build + the fast test tier, then an
+# Full verification: normal build + the fast test tier and the
+# end-to-end benchmark's self-tests, then an
 # ASan+UBSan build + tests, then a TSan build running the
 # concurrency-sensitive suites (experiment engine, Monte-Carlo, RNG
 # forking) to catch data races in the parallel trial fan-out.
@@ -55,6 +56,11 @@ echo "== normal build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs" "${ctest_filter[@]}"
+
+# The benchmark's reduction helpers and its driver's --self-check (the
+# driver is built into .bench_build/ on first use).
+echo "== e2ebench self-tests =="
+python3 -m unittest discover -s e2ebench -p 'test_*.py'
 
 if [[ "$run_golden" == "1" ]]; then
   echo "== golden paper-fidelity gate =="

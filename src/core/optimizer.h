@@ -27,6 +27,18 @@ namespace detail {
 inline constexpr double kGoldenRatioInv = 0.6180339887498949;  // 1/phi
 }
 
+/// Coarse-grid size the search schedule scans for `opt`.
+[[nodiscard]] inline int search_grid_size(const OptimizeOptions& opt) noexcept {
+  return std::max(opt.grid_points, 8);
+}
+
+/// The i-th of n coarse-grid points over [lo, hi] — the one expression
+/// both the search and any caller that tabulates the grid ahead of it
+/// evaluate, so a tabulated value lands on the identical double d_i.
+[[nodiscard]] inline double search_grid_point(double lo, double hi, int i, int n) noexcept {
+  return lo + (hi - lo) * i / (n - 1);
+}
+
 /// The exact search schedule behind optimize(): coarse grid scan over
 /// [lo, hi], golden-section refinement inside the best grid bracket,
 /// keep the better of {grid best, refined mid}. Header-level template so
@@ -35,8 +47,15 @@ inline constexpr double kGoldenRatioInv = 0.6180339887498949;  // 1/phi
 /// link::optimize_multilink — instantiates this single definition and
 /// evaluates the identical FP expressions at the identical points.
 /// Degenerate hi <= lo intervals collapse to one evaluation at hi.
-template <class F>
-ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const OptimizeOptions& opt) {
+///
+/// The grid stage reads its values through `grid(i, d_i)`, where d_i is
+/// search_grid_point(lo, hi, i, search_grid_size(opt)); the refinement
+/// stage calls `f` directly. A caller whose many searches share one grid
+/// (link::optimize_multilink) tabulates the grid once and serves
+/// `grid` from that table; it must return exactly f(d_i).
+template <class F, class G>
+ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, G&& grid,
+                                      const OptimizeOptions& opt) {
   ScalarSearchResult out;
   if (hi <= lo) {
     out.d = hi;
@@ -46,14 +65,14 @@ ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const Optimiz
   }
 
   // Stage 1: coarse grid scan.
-  const int n = std::max(opt.grid_points, 8);
+  const int n = search_grid_size(opt);
   double best_d = lo;
   double best_u = -1.0;
   int best_i = 0;
   int evals = 0;
   for (int i = 0; i < n; ++i) {
-    const double d = lo + (hi - lo) * i / (n - 1);
-    const double val = f(d);
+    const double d = search_grid_point(lo, hi, i, n);
+    const double val = grid(i, d);
     ++evals;
     if (val > best_u) {
       best_u = val;
@@ -65,8 +84,8 @@ ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const Optimiz
   // Stage 2: golden-section refinement within the neighbors of the best
   // grid point (the objective is unimodal there even if globally it is
   // not).
-  double a = lo + (hi - lo) * std::max(best_i - 1, 0) / (n - 1);
-  double b = lo + (hi - lo) * std::min(best_i + 1, n - 1) / (n - 1);
+  double a = search_grid_point(lo, hi, std::max(best_i - 1, 0), n);
+  double b = search_grid_point(lo, hi, std::min(best_i + 1, n - 1), n);
   double x1 = b - detail::kGoldenRatioInv * (b - a);
   double x2 = a + detail::kGoldenRatioInv * (b - a);
   double f1 = f(x1);
@@ -97,6 +116,13 @@ ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const Optimiz
   out.val = take_mid ? refined : best_u;
   out.evals = evals;
   return out;
+}
+
+/// The schedule with the grid stage evaluating `f` itself.
+template <class F>
+ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const OptimizeOptions& opt) {
+  return golden_grid_search(
+      lo, hi, f, [&f](int, double d) { return f(d); }, opt);
 }
 
 /// Where the optimum landed relative to the feasible interval [d_min, d0].

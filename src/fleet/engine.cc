@@ -913,6 +913,7 @@ void FleetEngine::process_reelections(double t) {
   Soa& s = *soa_;
   const auto kTransmitU8 = static_cast<std::uint8_t>(Phase::kTransmit);
   const bool multilink = cfg_.links != nullptr && !cfg_.links->empty();
+  thread_local std::vector<policy::MultiLinkDecision> answers;
   for (std::uint32_t i = 0; i < count_; ++i) {
     if (!s.want_reelect[i]) continue;
     s.want_reelect[i] = 0;
@@ -940,13 +941,16 @@ void FleetEngine::process_reelections(double t) {
     policy::MultiLinkDecision stay{};
     policy::MultiLinkDecision best{};
     if (multilink) {
+      // One joint pass answers "burst on link j" for every j: staying on
+      // the current link and each alternative.
+      answers.resize(cfg_.links->size());
+      service_.decide_multilink_per_link(q, answers);
       const std::int32_t cur_j = std::max(s.burst_link[i], std::int32_t{0});
-      q.burst_link = cur_j;
-      stay = service_.decide_multilink_one(q);
-      for (std::int32_t j = 0; j < static_cast<std::int32_t>(cfg_.links->size()); ++j) {
+      assert(static_cast<std::size_t>(cur_j) < answers.size());
+      stay = answers[static_cast<std::size_t>(cur_j)];
+      for (std::int32_t j = 0; j < static_cast<std::int32_t>(answers.size()); ++j) {
         if (j == cur_j) continue;
-        q.burst_link = j;
-        const policy::MultiLinkDecision cand = service_.decide_multilink_one(q);
+        const policy::MultiLinkDecision& cand = answers[static_cast<std::size_t>(j)];
         if (cand.decision.utility > best.decision.utility) {
           best = cand;
           best_j = j;

@@ -41,11 +41,21 @@ std::uint64_t fnv1a(std::uint64_t h, std::string_view s) noexcept {
   return h;
 }
 
+/// Ferry time from d0 to d at speed v (0 once there).
+double tship_at(double d_m, const MultiLinkParams& p) noexcept {
+  return d_m >= p.d0_m ? 0.0 : (p.d0_m - d_m) / p.speed_mps;
+}
+
+/// The burst link's availability-discounted rate at d (clamped to the
+/// anti-collision floor).
+double burst_rate_bps(const LinkBackend& bk, double d_m, const MultiLinkParams& p) noexcept {
+  return bk.rate_bps(std::max(d_m, p.min_distance_m)) * bk.availability();
+}
+
 }  // namespace
 
 double trickle_bytes(const LinkBackend& bk, double d_m, const MultiLinkParams& p) {
-  const double tship = d_m >= p.d0_m ? 0.0 : (p.d0_m - d_m) / p.speed_mps;
-  const double window = tship - bk.config().session_setup_s;
+  const double window = tship_at(d_m, p) - bk.config().session_setup_s;
   if (window <= 0.0) return 0.0;
   double acc = 0.0;
   for (int i = 0; i <= kPathSegments; ++i) {
@@ -71,17 +81,24 @@ struct BurstEval {
   double utility{0.0};
 };
 
-BurstEval eval_burst(const LinkBackend& bk, double d_m, double burst_bytes,
-                     const MultiLinkParams& p, const uav::FailureModel& failure) {
+/// The decomposition from its per-point parts. Both the direct
+/// evaluation and the tabulated grid go through this one expression,
+/// which is what keeps a tabulated grid value bit-identical to it.
+BurstEval burst_from(double tship_s, double rate_bps, double latency_s, double discount,
+                     double burst_bytes) noexcept {
   BurstEval e;
-  e.tship_s = d_m >= p.d0_m ? 0.0 : (p.d0_m - d_m) / p.speed_mps;
-  const double dc = std::max(d_m, p.min_distance_m);
-  const double s = bk.rate_bps(dc) * bk.availability();
-  e.ttx_s = s <= 0.0 ? kInf : burst_bytes * 8.0 / s;
-  e.cdelay_s = e.tship_s + e.ttx_s + bk.latency_s();
-  e.discount = failure.discount(p.d0_m, d_m);
+  e.tship_s = tship_s;
+  e.ttx_s = rate_bps <= 0.0 ? kInf : burst_bytes * 8.0 / rate_bps;
+  e.cdelay_s = e.tship_s + e.ttx_s + latency_s;
+  e.discount = discount;
   e.utility = (e.cdelay_s > 0.0 && e.cdelay_s != kInf) ? e.discount / e.cdelay_s : 0.0;
   return e;
+}
+
+BurstEval eval_burst(const LinkBackend& bk, double d_m, double burst_bytes,
+                     const MultiLinkParams& p, const uav::FailureModel& failure) {
+  return burst_from(tship_at(d_m, p), burst_rate_bps(bk, d_m, p), bk.latency_s(),
+                    failure.discount(p.d0_m, d_m), burst_bytes);
 }
 
 core::Boundary classify(double d, double lo, double hi) noexcept {
@@ -102,6 +119,172 @@ core::OptimizeResult to_result(const BurstEval& e, double d, double lo, double h
   return r;
 }
 
+/// One decision's solver and its per-call workspace. Every search of a
+/// decision — each link's single-link search and each joint search —
+/// scans the same coarse grid d_i over [min_d, d0], so every per-point
+/// quantity is tabulated here once instead of once per search: Tship
+/// and δ per point, and per link its discounted burst rate and its
+/// background trickle. The grid stages read the table; refinement
+/// points differ per search and evaluate directly. Both routes build
+/// the utility through burst_from() from the same parts, so the table
+/// changes no bit of any decision. The workspace lives on this object,
+/// never in shared state: a DecisionService is shared const across
+/// threads.
+class Solver {
+ public:
+  Solver(const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
+         const uav::FailureModel& failure, const core::OptimizeOptions& opt)
+      : links_(links),
+        p_(p),
+        failure_(failure),
+        opt_(opt),
+        n_links_(static_cast<int>(links.size())),
+        // hi <= lo collapses every search to one direct evaluation: no
+        // grid. (Written as the search's own test, so a NaN bound still
+        // gets the grid the search will scan.)
+        n_(p.d0_m <= p.min_distance_m ? 0 : core::search_grid_size(opt)) {
+    // Columns: Tship, δ, then one discounted-rate column per link; the
+    // trickle columns follow once a joint search needs them (reserved
+    // up front, so adding them never reallocates).
+    const int trickle_cols = n_links_ > 1 ? n_links_ : 0;
+    table_.reserve(static_cast<std::size_t>(n_) *
+                   static_cast<std::size_t>(2 + n_links_ + trickle_cols));
+    table_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(2 + n_links_));
+    for (int i = 0; i < n_; ++i) {
+      const double d = core::search_grid_point(lo(), hi(), i, n_);
+      table_[at(0, i)] = tship_at(d, p_);
+      table_[at(1, i)] = failure_.discount(p_.d0_m, d);
+      for (int k = 0; k < n_links_; ++k) table_[at(2 + k, i)] = burst_rate_bps(link(k), d, p_);
+    }
+  }
+
+  [[nodiscard]] double lo() const noexcept { return p_.min_distance_m; }
+  [[nodiscard]] double hi() const noexcept { return p_.d0_m; }
+
+  /// Pass 1: link j alone — the legacy "now or later?" problem on that
+  /// link's own rate/latency/availability profile.
+  [[nodiscard]] core::OptimizeResult single(int j) const {
+    const LinkBackend& bk = link(j);
+    const SearchOut s = golden_grid_search(
+        lo(), hi(), [&](double d) { return eval_burst(bk, d, p_.mdata_bytes, p_, failure_).utility; },
+        [&](int i, double) { return grid_utility(j, i, p_.mdata_bytes); }, opt_);
+    return to_result(eval_burst(bk, s.d, p_.mdata_bytes, p_, failure_), s.d, lo(), hi(), s.evals);
+  }
+
+  /// Pass 2: the joint search with j as the burst link, given every
+  /// link's pass-1 result. With one link the joint objective IS the
+  /// single objective — the pass-1 result is reused verbatim, which is
+  /// what makes the single-backend configuration bit-identical to
+  /// core::optimize().
+  [[nodiscard]] SearchOut joint(int j, const std::vector<core::OptimizeResult>& singles) {
+    const core::OptimizeResult& s = singles[static_cast<std::size_t>(j)];
+    if (n_links_ == 1) return {s.d_opt_m, s.utility, s.evaluations};
+    tabulate_trickles();
+    SearchOut cand = golden_grid_search(
+        lo(), hi(), [&](double d) { return joint_utility(j, d); },
+        [&](int i, double) { return grid_utility(j, i, p_.mdata_bytes - grid_trickle(j, i)); },
+        opt_);
+    // Dominance net: the joint objective dominates the single one
+    // pointwise, but the two searches can refine into different
+    // brackets — evaluating the joint objective at the single-link
+    // optimum guarantees result-level dominance too.
+    const double v_single = joint_utility(j, s.d_opt_m);
+    ++cand.evals;
+    if (v_single > cand.val) {
+      cand.d = s.d_opt_m;
+      cand.val = v_single;
+    }
+    return cand;
+  }
+
+  /// The result fields of burst link j bursting at `best.d`; r.single
+  /// must already hold pass 1.
+  void finish(int j, const SearchOut& best, MultiLinkResult& r) const {
+    r.burst_link = j;
+    r.trickle_by_link.assign(static_cast<std::size_t>(n_links_), 0.0);
+    // Per-link trickles, rescaled proportionally when the Mdata cap
+    // binds so they always sum to the reported total (the raw sum
+    // replays joint_trickle's accumulation order, keeping
+    // trickle_bytes exact).
+    double raw_sum = 0.0;
+    for (int k = 0; k < n_links_; ++k) {
+      if (k == j || n_links_ == 1) continue;
+      const double tr = trickle_bytes(link(k), best.d, p_);
+      r.trickle_by_link[static_cast<std::size_t>(k)] = tr;
+      raw_sum += tr;
+    }
+    r.trickle_bytes = n_links_ == 1 ? 0.0 : std::min(raw_sum, p_.mdata_bytes);
+    if (raw_sum > p_.mdata_bytes && raw_sum > 0.0) {
+      const double scale = p_.mdata_bytes / raw_sum;
+      for (double& v : r.trickle_by_link) v *= scale;
+    }
+    r.burst_bytes = p_.mdata_bytes - r.trickle_bytes;
+    r.decision = to_result(eval_burst(link(j), best.d, r.burst_bytes, p_, failure_), best.d, lo(),
+                           hi(), best.evals);
+  }
+
+ private:
+  [[nodiscard]] const LinkBackend& link(int k) const noexcept {
+    return *links_[static_cast<std::size_t>(k)];
+  }
+  [[nodiscard]] std::size_t at(int col, int i) const noexcept {
+    return static_cast<std::size_t>(col) * static_cast<std::size_t>(n_) +
+           static_cast<std::size_t>(i);
+  }
+
+  /// Joint trickle at distance d when link j bursts: every other link
+  /// ships in the background during the ferry leg, capped at the batch.
+  [[nodiscard]] double joint_trickle(int j, double d) const {
+    double total = 0.0;
+    for (int k = 0; k < n_links_; ++k) {
+      if (k == j) continue;
+      total += trickle_bytes(link(k), d, p_);
+    }
+    return std::min(total, p_.mdata_bytes);
+  }
+  [[nodiscard]] double joint_utility(int j, double d) const {
+    return eval_burst(link(j), d, p_.mdata_bytes - joint_trickle(j, d), p_, failure_).utility;
+  }
+
+  /// Link j's utility at grid point i for a burst of `burst_bytes`.
+  [[nodiscard]] double grid_utility(int j, int i, double burst_bytes) const noexcept {
+    return burst_from(table_[at(0, i)], table_[at(2 + j, i)], link(j).latency_s(),
+                      table_[at(1, i)], burst_bytes)
+        .utility;
+  }
+  /// joint_trickle(j, d_i) from the table, summed in the same order.
+  [[nodiscard]] double grid_trickle(int j, int i) const noexcept {
+    double total = 0.0;
+    for (int k = 0; k < n_links_; ++k) {
+      if (k == j) continue;
+      total += table_[at(2 + n_links_ + k, i)];
+    }
+    return std::min(total, p_.mdata_bytes);
+  }
+
+  void tabulate_trickles() {
+    if (trickles_ready_) return;
+    trickles_ready_ = true;
+    const std::size_t base = table_.size();
+    table_.resize(base + static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_links_));
+    for (int k = 0; k < n_links_; ++k) {
+      for (int i = 0; i < n_; ++i) {
+        table_[at(2 + n_links_ + k, i)] =
+            trickle_bytes(link(k), core::search_grid_point(lo(), hi(), i, n_), p_);
+      }
+    }
+  }
+
+  const std::vector<const LinkBackend*>& links_;
+  const MultiLinkParams& p_;
+  const uav::FailureModel& failure_;
+  const core::OptimizeOptions& opt_;
+  const int n_links_;
+  const int n_;  ///< grid points; 0 when hi <= lo
+  std::vector<double> table_;
+  bool trickles_ready_{false};
+};
+
 }  // namespace
 
 MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
@@ -110,92 +293,43 @@ MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
   MultiLinkResult r;
   const int n_links = static_cast<int>(links.size());
   if (n_links == 0) return r;
-  r.single.resize(static_cast<std::size_t>(n_links));
   r.trickle_by_link.assign(static_cast<std::size_t>(n_links), 0.0);
+  Solver solver(links, p, failure, opt);
+  r.single.reserve(static_cast<std::size_t>(n_links));
+  for (int j = 0; j < n_links; ++j) r.single.push_back(solver.single(j));
 
-  const double lo = p.min_distance_m;
-  const double hi = p.d0_m;
-
-  // Joint trickle at distance d when link j bursts: every other link
-  // ships in the background during the ferry leg, capped at the batch.
-  const auto joint_trickle = [&](int j, double d) {
-    double total = 0.0;
-    for (int k = 0; k < n_links; ++k) {
-      if (k == j) continue;
-      total += trickle_bytes(*links[static_cast<std::size_t>(k)], d, p);
-    }
-    return std::min(total, p.mdata_bytes);
-  };
-  const auto joint_utility = [&](int j, double d) {
-    const double burst = p.mdata_bytes - joint_trickle(j, d);
-    return eval_burst(*links[static_cast<std::size_t>(j)], d, burst, p, failure).utility;
-  };
-
-  // Pass 1: each link alone — the legacy "now or later?" problem on
-  // that link's own rate/latency/availability profile.
-  for (int j = 0; j < n_links; ++j) {
-    const LinkBackend& bk = *links[static_cast<std::size_t>(j)];
-    const SearchOut s = golden_grid_search(
-        lo, hi, [&](double d) { return eval_burst(bk, d, p.mdata_bytes, p, failure).utility; },
-        opt);
-    r.single[static_cast<std::size_t>(j)] =
-        to_result(eval_burst(bk, s.d, p.mdata_bytes, p, failure), s.d, lo, hi, s.evals);
-  }
-
-  // Pass 2: elect the burst link. With one link (or a singleton forced
-  // election) the joint objective IS the single objective — reuse the
-  // pass-1 result verbatim, which is what makes the single-backend
-  // configuration bit-identical to core::optimize().
+  // Elect the burst link (or honour the pinned one).
   int best_j = -1;
   SearchOut best{};
   for (int j = 0; j < n_links; ++j) {
     if (forced_burst_link >= 0 && j != forced_burst_link) continue;
-    SearchOut cand;
-    if (n_links == 1) {
-      const core::OptimizeResult& s = r.single[static_cast<std::size_t>(j)];
-      cand = {s.d_opt_m, s.utility, s.evaluations};
-    } else {
-      cand = golden_grid_search(lo, hi, [&](double d) { return joint_utility(j, d); }, opt);
-      // Dominance net: the joint objective dominates the single one
-      // pointwise, but the two searches can refine into different
-      // brackets — evaluating the joint objective at the single-link
-      // optimum guarantees result-level dominance too.
-      const double d_single = r.single[static_cast<std::size_t>(j)].d_opt_m;
-      const double v_single = joint_utility(j, d_single);
-      ++cand.evals;
-      if (v_single > cand.val) {
-        cand.d = d_single;
-        cand.val = v_single;
-      }
-    }
+    const SearchOut cand = solver.joint(j, r.single);
     if (best_j < 0 || cand.val > best.val) {
       best_j = j;
       best = cand;
     }
   }
-
   if (best_j < 0) return r;  // forced index out of range
-  r.burst_link = best_j;
-  const LinkBackend& burst_bk = *links[static_cast<std::size_t>(best_j)];
-  // Per-link trickles, rescaled proportionally when the Mdata cap binds
-  // so they always sum to the reported total (the raw sum replays
-  // joint_trickle's accumulation order, keeping trickle_bytes exact).
-  double raw_sum = 0.0;
-  for (int k = 0; k < n_links; ++k) {
-    if (k == best_j || n_links == 1) continue;
-    const double tr = trickle_bytes(*links[static_cast<std::size_t>(k)], best.d, p);
-    r.trickle_by_link[static_cast<std::size_t>(k)] = tr;
-    raw_sum += tr;
-  }
-  r.trickle_bytes = n_links == 1 ? 0.0 : std::min(raw_sum, p.mdata_bytes);
-  if (raw_sum > p.mdata_bytes && raw_sum > 0.0) {
-    const double scale = p.mdata_bytes / raw_sum;
-    for (double& v : r.trickle_by_link) v *= scale;
-  }
-  r.burst_bytes = p.mdata_bytes - r.trickle_bytes;
-  r.decision =
-      to_result(eval_burst(burst_bk, best.d, r.burst_bytes, p, failure), best.d, lo, hi, best.evals);
+  solver.finish(best_j, best, r);
   return r;
+}
+
+std::vector<MultiLinkResult> optimize_multilink_per_link(
+    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
+    const uav::FailureModel& failure, core::OptimizeOptions opt) {
+  const int n_links = static_cast<int>(links.size());
+  std::vector<MultiLinkResult> out(static_cast<std::size_t>(n_links));
+  if (n_links == 0) return out;
+  Solver solver(links, p, failure, opt);
+  std::vector<core::OptimizeResult> singles;
+  singles.reserve(static_cast<std::size_t>(n_links));
+  for (int j = 0; j < n_links; ++j) singles.push_back(solver.single(j));
+  for (int j = 0; j < n_links; ++j) {
+    MultiLinkResult& r = out[static_cast<std::size_t>(j)];
+    r.single = singles;
+    solver.finish(j, solver.joint(j, singles), r);
+  }
+  return out;
 }
 
 // ---- LinkSet ---------------------------------------------------------------

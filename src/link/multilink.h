@@ -28,6 +28,18 @@
 //    additionally evaluates each joint objective at its link's
 //    single-link optimum, so the returned utility is ≥ the best
 //    single-link utility on every input.
+//
+// Cost: one decision over n links runs n single-link and n joint
+// searches, and every one of them scans the same coarse grid over
+// [min_d, d0]. So each per-point quantity (Tship, δ, each link's
+// discounted rate and background trickle) is tabulated once per call
+// and read by every grid stage; only golden-section refinement points,
+// which differ per search, evaluate directly. Both routes build U from
+// the same parts through one expression, so the table changes no bit
+// of any result (tests/link/multilink_tabulated_test.cc keeps the
+// untabulated optimizer as an oracle). optimize_multilink_per_link
+// answers every forced election from one such pass — a fleet
+// re-election's cost is one decision, not one per link.
 #pragma once
 
 #include <cstdint>
@@ -119,5 +131,13 @@ struct MultiLinkResult {
                                                  const uav::FailureModel& failure,
                                                  core::OptimizeOptions opt = {},
                                                  int forced_burst_link = -1);
+
+/// Every forced election in one pass: element j is bit-identical to
+/// optimize_multilink(links, p, failure, opt, j), but pass 1 and the
+/// grid table are shared, so a re-election that weighs each link costs
+/// one decision's searches instead of one decision per link.
+[[nodiscard]] std::vector<MultiLinkResult> optimize_multilink_per_link(
+    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
+    const uav::FailureModel& failure, core::OptimizeOptions opt = {});
 
 }  // namespace skyferry::link

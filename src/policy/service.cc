@@ -149,18 +149,10 @@ MultiLinkDecision DecisionService::decide_multilink_fallback(const Query& q,
   return out;
 }
 
-MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
-  if (!has_links() || links_invalid_)
-    return decide_multilink_fallback(
-        q, links_invalid_ ? FallbackReason::kInvalidBackend : FallbackReason::kNoLinkSet);
-  if (q.burst_link < -1 || q.burst_link >= static_cast<std::int32_t>(link_views_.size()))
-    return decide_multilink_fallback(q, FallbackReason::kInvalidBackend);
-  exact_calls_.fetch_add(1, std::memory_order_relaxed);
-  const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
-  const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-  const link::MultiLinkResult r =
-      link::optimize_multilink(link_views_, p, failure, q.optimize, q.burst_link);
+namespace {
 
+MultiLinkDecision to_decision(const Query& q, const uav::FailureModel& failure,
+                              const link::MultiLinkResult& r) {
   MultiLinkDecision out;
   out.decision.d_opt_m = r.decision.d_opt_m;
   out.decision.v_opt_mps = q.speed_mps;
@@ -175,6 +167,42 @@ MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
   out.trickle_bytes = r.trickle_bytes;
   out.burst_bytes = r.burst_bytes;
   return out;
+}
+
+}  // namespace
+
+MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
+  if (!has_links() || links_invalid_)
+    return decide_multilink_fallback(
+        q, links_invalid_ ? FallbackReason::kInvalidBackend : FallbackReason::kNoLinkSet);
+  if (q.burst_link < -1 || q.burst_link >= static_cast<std::int32_t>(link_views_.size()))
+    return decide_multilink_fallback(q, FallbackReason::kInvalidBackend);
+  exact_calls_.fetch_add(1, std::memory_order_relaxed);
+  const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
+  const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
+  return to_decision(q, failure,
+                     link::optimize_multilink(link_views_, p, failure, q.optimize, q.burst_link));
+}
+
+void DecisionService::decide_multilink_per_link(const Query& q,
+                                                std::span<MultiLinkDecision> out) const {
+  if (!has_links() || links_invalid_) {
+    const FallbackReason why =
+        links_invalid_ ? FallbackReason::kInvalidBackend : FallbackReason::kNoLinkSet;
+    for (MultiLinkDecision& o : out) o = decide_multilink_fallback(q, why);
+    return;
+  }
+  const std::size_t installed = std::min(out.size(), link_views_.size());
+  if (installed > 0) {
+    exact_calls_.fetch_add(installed, std::memory_order_relaxed);
+    const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
+    const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
+    const std::vector<link::MultiLinkResult> r =
+        link::optimize_multilink_per_link(link_views_, p, failure, q.optimize);
+    for (std::size_t j = 0; j < installed; ++j) out[j] = to_decision(q, failure, r[j]);
+  }
+  for (std::size_t j = installed; j < out.size(); ++j)
+    out[j] = decide_multilink_fallback(q, FallbackReason::kInvalidBackend);
 }
 
 void DecisionService::decide_multilink(std::span<const Query> queries,

@@ -77,6 +77,16 @@ class DecisionService {
   void decide_multilink(std::span<const Query> queries, std::span<MultiLinkDecision> out) const;
   [[nodiscard]] MultiLinkDecision decide_multilink_one(const Query& q) const;
 
+  /// A re-election's answers in one pass: out[j] is bit-identical to
+  /// decide_multilink_one(q) with q.burst_link = j, for every j below
+  /// out.size() (q.burst_link itself is ignored). One joint optimizer
+  /// pass (link::optimize_multilink_per_link) serves every installed
+  /// index; an index outside the installed set, or a missing/invalid
+  /// set, gets the tagged fallback the forced call would give. Counts
+  /// one exact call per answer, as the forced calls would. Safe to
+  /// call concurrently.
+  void decide_multilink_per_link(const Query& q, std::span<MultiLinkDecision> out) const;
+
   /// True when `q` would be answered by the table path right now.
   [[nodiscard]] bool table_eligible(const Query& q) const noexcept;
 
