@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: normal build + the fast test tier and the
-# end-to-end benchmark's self-tests, then an
+# Full verification: normal build + the fast test tier (which includes
+# the orphan check) and the end-to-end benchmark's self-tests, then an
 # ASan+UBSan build + tests, then a TSan build running the
 # concurrency-sensitive suites (experiment engine, Monte-Carlo, RNG
 # forking) to catch data races in the parallel trial fan-out.

@@ -1,17 +1,12 @@
 #include "exp/cli.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
 #include "io/format.h"
+#include "io/json.h"
 
 namespace skyferry::exp {
-namespace {
-
-bool full_number(const char* s, const char* end) { return end != s && *end == '\0'; }
-
-}  // namespace
 
 Cli::Cli(std::string bench) : bench_(std::move(bench)) {}
 
@@ -40,44 +35,39 @@ Cli& Cli::flag(std::string name, bool* target, std::string help) {
 }
 
 void Cli::assign(const Flag& f, std::string_view value) const {
-  const std::string v(value);
-  char* end = nullptr;
-  errno = 0;
+  const auto bad = [&](const char* expects) {
+    return CliError(bench_ + ": flag " + f.name + " expects " + expects + ", got '" +
+                    std::string(value) + "'");
+  };
   switch (f.type) {
     case Type::kInt: {
-      const long x = std::strtol(v.c_str(), &end, 10);
-      if (!full_number(v.c_str(), end) || errno == ERANGE)
-        throw CliError(bench_ + ": flag " + f.name + " expects an integer, got '" + v + "'");
-      *static_cast<int*>(f.target) = static_cast<int>(x);
+      int x = 0;
+      if (!io::parse_number(value, &x)) throw bad("an integer in int range");
+      *static_cast<int*>(f.target) = x;
       return;
     }
     case Type::kUint64: {
-      if (!v.empty() && v[0] == '-')
-        throw CliError(bench_ + ": flag " + f.name + " expects a non-negative integer, got '" +
-                       v + "'");
-      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-      if (!full_number(v.c_str(), end) || errno == ERANGE)
-        throw CliError(bench_ + ": flag " + f.name + " expects an integer, got '" + v + "'");
-      *static_cast<std::uint64_t*>(f.target) = static_cast<std::uint64_t>(x);
+      std::uint64_t x = 0;
+      if (!io::parse_number(value, &x)) throw bad("a non-negative 64-bit integer");
+      *static_cast<std::uint64_t*>(f.target) = x;
       return;
     }
     case Type::kDouble: {
-      const double x = std::strtod(v.c_str(), &end);
-      if (!full_number(v.c_str(), end))
-        throw CliError(bench_ + ": flag " + f.name + " expects a number, got '" + v + "'");
+      double x = 0.0;
+      if (!io::parse_number(value, &x)) throw bad("a finite number");
       *static_cast<double*>(f.target) = x;
       return;
     }
     case Type::kString:
-      *static_cast<std::string*>(f.target) = v;
+      *static_cast<std::string*>(f.target) = std::string(value);
       return;
     case Type::kBool: {
-      if (v == "true" || v == "1") {
+      if (value == "true" || value == "1") {
         *static_cast<bool*>(f.target) = true;
-      } else if (v == "false" || v == "0") {
+      } else if (value == "false" || value == "0") {
         *static_cast<bool*>(f.target) = false;
       } else {
-        throw CliError(bench_ + ": flag " + f.name + " expects true/false/1/0, got '" + v + "'");
+        throw bad("true/false/1/0");
       }
       return;
     }

@@ -40,8 +40,6 @@ struct RunnerConfig {
   /// Trials per enqueued task; <= 0 picks ~4 chunks per worker per point
   /// (small enough to balance, big enough to amortize queueing).
   int chunk{0};
-  /// Record per-point latency quantiles (tiny cost; on by default).
-  bool collect_point_stats{true};
   /// Old behavior: rethrow the first trial exception after all in-flight
   /// work drains, instead of recording failures and carrying on.
   bool fail_fast{false};
@@ -78,21 +76,19 @@ inline RunStats make_run_stats(const RunnerConfig& cfg, const std::vector<Point>
   st.trials_per_s = wall_s > 0.0 ? total_trials / wall_s : 0.0;
   st.occupancy = (wall_s > 0.0 && workers > 0) ? st.total_trial_s / (wall_s * workers) : 0.0;
   st.speedup_vs_serial = wall_s > 0.0 ? st.total_trial_s / wall_s : 0.0;
-  if (cfg.collect_point_stats) {
-    st.per_point.reserve(points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      auto sorted = latency_ms[p];
-      std::sort(sorted.begin(), sorted.end());
-      PointStats ps;
-      ps.point_index = points[p].index;
-      ps.label = points[p].label();
-      ps.trials = cfg.trials;
-      if (!sorted.empty()) {
-        ps.p50_ms = stats::quantile_sorted(sorted, 0.50);
-        ps.p99_ms = stats::quantile_sorted(sorted, 0.99);
-      }
-      st.per_point.push_back(std::move(ps));
+  st.per_point.reserve(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    auto sorted = latency_ms[p];
+    std::sort(sorted.begin(), sorted.end());
+    PointStats ps;
+    ps.point_index = points[p].index;
+    ps.label = points[p].label();
+    ps.trials = cfg.trials;
+    if (!sorted.empty()) {
+      ps.p50_ms = stats::quantile_sorted(sorted, 0.50);
+      ps.p99_ms = stats::quantile_sorted(sorted, 0.99);
     }
+    st.per_point.push_back(std::move(ps));
   }
   return st;
 }

@@ -632,7 +632,7 @@ double FleetEngine::run_exchanges(std::uint32_t i, std::uint32_t eff_row, double
         continue;
       }
     }
-    const int mcs = cfg_.fixed_mcs >= 0 ? cfg_.fixed_mcs : s.arf[i].select_mcs(t);
+    const int mcs = s.arf[i].select_mcs(t);
     const phy::PerTable& table = *data_tables_[static_cast<std::size_t>(mcs)];
     const std::uint64_t remaining = s.total_bytes[i] - s.delivered_bytes[i];
     const int backlog = static_cast<int>(std::min<std::uint64_t>(

@@ -130,8 +130,6 @@ struct FleetConfig {
   /// 1: inline). Bit-identical results for any value.
   int threads{1};
   KinematicsMode kinematics{KinematicsMode::kBatched};
-  /// Pin every transmitter to this MCS (0..15); negative = per-UAV ARF.
-  int fixed_mcs{-1};
   /// Flight endurance [s]; a UAV whose clock runs past it fails. The
   /// battery column drains at 1 s/s from spawn.
   double battery_autonomy_s{std::numeric_limits<double>::infinity()};

@@ -7,14 +7,19 @@
 // This header also owns the repository's one number codec:
 // append_json_number() writes a double (Json::dump, json_number, the
 // skyferry_decide answers and the policy-table checksum all go through
-// it) and the parser reads numbers with std::from_chars, so both
-// directions are locale-independent and allocation-free.
+// it), and the parser and parse_number() (LineServer's fields, exp::Cli's
+// flag values) read numbers with std::from_chars, so both directions are
+// locale-independent and allocation-free.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -115,5 +120,20 @@ void append_json_number(std::string& out, double v);
 
 /// append_json_number into a fresh string.
 [[nodiscard]] std::string json_number(double v);
+
+/// One plain-text number: the whole token must parse as a T (base 10
+/// for integers), optionally after a single '+'. Glued garbage ("1e-4x"),
+/// whitespace, out-of-range values and, for floating-point T, inf/nan
+/// all fail. `*out` is unspecified on failure. Inline because
+/// LineServer calls it once per query field.
+template <class T>
+[[nodiscard]] inline bool parse_number(std::string_view tok, T* out) noexcept {
+  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '-') tok.remove_prefix(1);
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  if (ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
+}
 
 }  // namespace skyferry::io

@@ -289,7 +289,7 @@ class Solver {
 
 MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
                                    const MultiLinkParams& p, const uav::FailureModel& failure,
-                                   core::OptimizeOptions opt, int forced_burst_link) {
+                                   core::OptimizeOptions opt) {
   MultiLinkResult r;
   const int n_links = static_cast<int>(links.size());
   if (n_links == 0) return r;
@@ -298,18 +298,16 @@ MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
   r.single.reserve(static_cast<std::size_t>(n_links));
   for (int j = 0; j < n_links; ++j) r.single.push_back(solver.single(j));
 
-  // Elect the burst link (or honour the pinned one).
-  int best_j = -1;
-  SearchOut best{};
-  for (int j = 0; j < n_links; ++j) {
-    if (forced_burst_link >= 0 && j != forced_burst_link) continue;
+  // Elect the burst link.
+  int best_j = 0;
+  SearchOut best = solver.joint(0, r.single);
+  for (int j = 1; j < n_links; ++j) {
     const SearchOut cand = solver.joint(j, r.single);
-    if (best_j < 0 || cand.val > best.val) {
+    if (cand.val > best.val) {
       best_j = j;
       best = cand;
     }
   }
-  if (best_j < 0) return r;  // forced index out of range
   solver.finish(best_j, best, r);
   return r;
 }

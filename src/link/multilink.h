@@ -120,22 +120,21 @@ struct MultiLinkResult {
 /// for tests and the fleet engine's arrival credit.
 [[nodiscard]] double trickle_bytes(const LinkBackend& bk, double d_m, const MultiLinkParams& p);
 
-/// Joint (link, d) optimization over `links`. `forced_burst_link` pins
-/// the burst election to one index (-1 = elect the best). A link whose
-/// rate curve is dead on the whole [min_d, d0] interval scores utility
-/// 0 and loses the election to any live link; with an empty `links`
-/// list (or an out-of-range forced index) the result has
-/// burst_link == -1 and zero utility.
+/// Joint (link, d) optimization over `links`: elects the burst link
+/// with the highest joint utility. A link whose rate curve is dead on
+/// the whole [min_d, d0] interval scores utility 0 and loses the
+/// election to any live link; with an empty `links` list the result
+/// has burst_link == -1 and zero utility.
 [[nodiscard]] MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
                                                  const MultiLinkParams& p,
                                                  const uav::FailureModel& failure,
-                                                 core::OptimizeOptions opt = {},
-                                                 int forced_burst_link = -1);
+                                                 core::OptimizeOptions opt = {});
 
-/// Every forced election in one pass: element j is bit-identical to
-/// optimize_multilink(links, p, failure, opt, j), but pass 1 and the
-/// grid table are shared, so a re-election that weighs each link costs
-/// one decision's searches instead of one decision per link.
+/// Every forced election in one pass: element j is the joint decision
+/// with the burst pinned to link j, from the same searches
+/// optimize_multilink runs for link j. Pass 1 and the grid table are
+/// shared, so a re-election that weighs each link costs one decision's
+/// searches instead of one decision per link.
 [[nodiscard]] std::vector<MultiLinkResult> optimize_multilink_per_link(
     const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
     const uav::FailureModel& failure, core::OptimizeOptions opt = {});

@@ -117,11 +117,6 @@ struct Query {
   /// passes its reduced grid; everyone else the defaults).
   core::OptimizeOptions optimize{};
 
-  /// Multi-link queries only (DecisionService::decide_multilink): pin
-  /// the burst election to one link index of the installed LinkSet
-  /// (-1 = elect the best link jointly with d).
-  std::int32_t burst_link{-1};
-
   /// First physical-domain violation among d0, v, Mdata, ρ and min_d, in
   /// that order; a NaN field fails its check. kNone when all hold.
   [[nodiscard]] constexpr QueryError validate() const noexcept {
@@ -134,29 +129,15 @@ struct Query {
   }
 };
 
-/// One decision answer.
 /// Why a multi-link decision was answered by the single-link fallback
 /// instead of the joint optimizer. kNone on the normal path; a tagged
 /// fallback means the batch kept flowing instead of erroring out.
 enum class FallbackReason : std::uint8_t {
   kNone,
-  kNoLinkSet,      ///< no (or an empty) LinkSet installed at decide time
-  kInvalidBackend  ///< forced burst index out of range, or a backend failed validate()
+  kNoLinkSet  ///< no (or an empty) LinkSet installed at decide time
 };
 
-/// Stable log tag for a FallbackReason.
-[[nodiscard]] constexpr const char* to_string(FallbackReason r) noexcept {
-  switch (r) {
-    case FallbackReason::kNoLinkSet:
-      return "no-link-set";
-    case FallbackReason::kInvalidBackend:
-      return "invalid-backend";
-    case FallbackReason::kNone:
-      break;
-  }
-  return "none";
-}
-
+/// One decision answer.
 struct Decision {
   double d_opt_m{0.0};
   double v_opt_mps{0.0};  ///< == query speed unless Objective::kJointSpeed

@@ -1,12 +1,9 @@
 #include "policy/server.h"
 
-#include <charconv>
-#include <cmath>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "io/json.h"
@@ -19,16 +16,6 @@ constexpr std::string_view kUsage = "expected: <d0> <v> <mdata> <rho> [min_d]";
 /// The C locale's isspace set, so a line reads the same in any locale.
 constexpr bool is_space(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
-}
-
-/// One field: the whole token must be a finite double, optionally after
-/// a single '+'. Glued garbage ("1e-4x"), out-of-range literals and
-/// inf/nan all fail.
-bool parse_field(std::string_view tok, double* out) noexcept {
-  if (tok.size() > 1 && tok[0] == '+' && tok[1] != '-') tok.remove_prefix(1);
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
-  return ec == std::errc{} && ptr == end && std::isfinite(*out);
 }
 
 /// Parse "<d0> <v> <mdata> <rho> [min_d]" into a query stamped from the
@@ -51,7 +38,7 @@ bool parse_query(std::string_view line, const Query& defaults, Query* out, std::
       *err += '\'';
       return false;
     }
-    if (!parse_field(tok, fields[n])) {
+    if (!io::parse_number(tok, fields[n])) {
       *err = "bad number '";
       *err += tok;
       *err += "'; ";

@@ -123,18 +123,7 @@ Decision DecisionService::decide_exact(const Query& q) const {
 
 void DecisionService::install_links(std::shared_ptr<const link::LinkSet> links) {
   links_ = std::move(links);
-  links_invalid_ = false;
-  if (links_ != nullptr) {
-    for (const link::LinkBackendConfig& c : links_->configs()) {
-      try {
-        c.validate();
-      } catch (const link::ConfigError&) {
-        links_invalid_ = true;
-        break;
-      }
-    }
-  }
-  link_views_ = links_valid() ? links_->views() : std::vector<const link::LinkBackend*>{};
+  link_views_ = has_links() ? links_->views() : std::vector<const link::LinkBackend*>{};
 }
 
 MultiLinkDecision DecisionService::decide_multilink_fallback(const Query& q,
@@ -172,37 +161,29 @@ MultiLinkDecision to_decision(const Query& q, const uav::FailureModel& failure,
 }  // namespace
 
 MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
-  if (!has_links() || links_invalid_)
-    return decide_multilink_fallback(
-        q, links_invalid_ ? FallbackReason::kInvalidBackend : FallbackReason::kNoLinkSet);
-  if (q.burst_link < -1 || q.burst_link >= static_cast<std::int32_t>(link_views_.size()))
-    return decide_multilink_fallback(q, FallbackReason::kInvalidBackend);
+  if (!has_links()) return decide_multilink_fallback(q, FallbackReason::kNoLinkSet);
   exact_calls_.fetch_add(1, std::memory_order_relaxed);
   const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
   const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-  return to_decision(q, failure,
-                     link::optimize_multilink(link_views_, p, failure, q.optimize, q.burst_link));
+  return to_decision(q, failure, link::optimize_multilink(link_views_, p, failure, q.optimize));
 }
 
 void DecisionService::decide_multilink_per_link(const Query& q,
                                                 std::span<MultiLinkDecision> out) const {
-  if (!has_links() || links_invalid_) {
-    const FallbackReason why =
-        links_invalid_ ? FallbackReason::kInvalidBackend : FallbackReason::kNoLinkSet;
-    for (MultiLinkDecision& o : out) o = decide_multilink_fallback(q, why);
+  if (!has_links()) {
+    for (MultiLinkDecision& o : out) o = decide_multilink_fallback(q, FallbackReason::kNoLinkSet);
     return;
   }
-  const std::size_t installed = std::min(out.size(), link_views_.size());
-  if (installed > 0) {
-    exact_calls_.fetch_add(installed, std::memory_order_relaxed);
-    const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
-    const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-    const std::vector<link::MultiLinkResult> r =
-        link::optimize_multilink_per_link(link_views_, p, failure, q.optimize);
-    for (std::size_t j = 0; j < installed; ++j) out[j] = to_decision(q, failure, r[j]);
-  }
-  for (std::size_t j = installed; j < out.size(); ++j)
-    out[j] = decide_multilink_fallback(q, FallbackReason::kInvalidBackend);
+  if (out.size() != link_views_.size())
+    throw std::invalid_argument("policy: decide_multilink_per_link() needs one slot per link (" +
+                                std::to_string(link_views_.size()) + " links, " +
+                                std::to_string(out.size()) + " slots)");
+  exact_calls_.fetch_add(out.size(), std::memory_order_relaxed);
+  const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
+  const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
+  const std::vector<link::MultiLinkResult> r =
+      link::optimize_multilink_per_link(link_views_, p, failure, q.optimize);
+  for (std::size_t j = 0; j < out.size(); ++j) out[j] = to_decision(q, failure, r[j]);
 }
 
 void DecisionService::decide_multilink(std::span<const Query> queries,

@@ -56,35 +56,30 @@ class DecisionService {
 
   /// Install a multi-backend link set (setup time, not concurrent with
   /// decide_multilink()). Shared so a fleet of engines can serve one
-  /// set without copies. Every backend config is revalidated here: a
-  /// set with any backend whose validate() fails is kept for
-  /// inspection via links() but treated as unusable, so decisions fall
-  /// back instead of optimizing over a poisoned backend.
+  /// set without copies. A LinkSet validates every backend config when
+  /// it is built or loaded, so an installed set is always usable.
   void install_links(std::shared_ptr<const link::LinkSet> links);
   [[nodiscard]] bool has_links() const noexcept { return links_ != nullptr && !links_->empty(); }
-  [[nodiscard]] bool links_valid() const noexcept { return has_links() && !links_invalid_; }
   [[nodiscard]] const link::LinkSet* links() const noexcept { return links_.get(); }
 
   /// Joint (link, d) decisions over the installed link set:
-  /// link::optimize_multilink per query (q.burst_link pins the burst
-  /// election). Degrades gracefully instead of erroring the batch: a
-  /// missing/empty/invalid link set, or a pinned q.burst_link outside
-  /// the installed set, answers that query with the single-link exact
-  /// optimum tagged via Decision::fallback_reason (burst_link -1, the
-  /// whole batch as burst bytes). Throws std::invalid_argument only on
-  /// span-size mismatch. Safe to call concurrently; counts toward the
-  /// exact counter.
+  /// link::optimize_multilink per query. Degrades gracefully instead of
+  /// erroring the batch: with no (or an empty) link set installed, each
+  /// query is answered with the single-link exact optimum tagged
+  /// FallbackReason::kNoLinkSet (burst_link -1, the whole batch as
+  /// burst bytes). Throws std::invalid_argument only on span-size
+  /// mismatch. Safe to call concurrently; counts toward the exact
+  /// counter.
   void decide_multilink(std::span<const Query> queries, std::span<MultiLinkDecision> out) const;
   [[nodiscard]] MultiLinkDecision decide_multilink_one(const Query& q) const;
 
-  /// A re-election's answers in one pass: out[j] is bit-identical to
-  /// decide_multilink_one(q) with q.burst_link = j, for every j below
-  /// out.size() (q.burst_link itself is ignored). One joint optimizer
-  /// pass (link::optimize_multilink_per_link) serves every installed
-  /// index; an index outside the installed set, or a missing/invalid
-  /// set, gets the tagged fallback the forced call would give. Counts
-  /// one exact call per answer, as the forced calls would. Safe to
-  /// call concurrently.
+  /// A re-election's answers in one pass: out[j] is the joint decision
+  /// with the burst pinned to link j (link::optimize_multilink_per_link,
+  /// one joint optimizer pass for every link). With a link set
+  /// installed, out.size() must equal its link count; throws
+  /// std::invalid_argument otherwise. With none installed, every slot
+  /// gets the kNoLinkSet fallback. Counts one exact call per answer.
+  /// Safe to call concurrently.
   void decide_multilink_per_link(const Query& q, std::span<MultiLinkDecision> out) const;
 
   /// True when `q` would be answered by the table path right now.
@@ -110,8 +105,6 @@ class DecisionService {
 
   const core::ThroughputModel& model_;
   std::shared_ptr<const link::LinkSet> links_;
-  /// Set at install when any backend config fails validate().
-  bool links_invalid_{false};
   /// Non-owning backend views in index order, rebuilt at install so the
   /// hot path never allocates.
   std::vector<const link::LinkBackend*> link_views_;

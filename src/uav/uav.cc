@@ -32,8 +32,7 @@ void Uav::tick(double t_s, double dt_s) {
   if (failed()) return;  // vehicle is down
 
   const VelocityCommand cmd = autopilot_.update(state_, t_s, dt_s);
-  KinematicState next = step(state_, cmd, limits_, dt_s);
-  if (cfg_.wind) next.pos += cfg_.wind(t_s) * dt_s;  // airmass drift
+  const KinematicState next = step(state_, cmd, limits_, dt_s);
   odometer_m_ += geo::distance(state_.pos, next.pos);
   state_ = next;
   battery_.drain(dt_s, state_.speed());

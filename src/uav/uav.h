@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "geo/gps.h"
@@ -22,10 +21,6 @@ struct UavConfig {
   geo::Vec3 start_vel{};
   geo::GpsNoiseConfig gps{};
   double trace_sample_period_s{0.5};
-  /// Optional wind field: world-frame wind vector at time t. The vehicle
-  /// flies in the airmass, so its ground track drifts with the wind and
-  /// the autopilot has to keep re-aiming (see uav/wind.h for models).
-  std::function<geo::Vec3(double t_s)> wind;
   /// In-flight failure rate [1/m]; 0 disables random failures. When set,
   /// a distance-to-failure is drawn at spawn (exponential, the paper's
   /// model) and the vehicle goes down once the odometer crosses it.

@@ -1,5 +1,6 @@
 #include "exp/cli.h"
 
+#include <climits>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,6 +51,15 @@ TEST(Cli, ParsesSpaceAndEqualsForms) {
   EXPECT_EQ(f.threads, 8);
   EXPECT_DOUBLE_EQ(f.scale, 2.25);
   EXPECT_EQ(f.out, "x.csv");
+
+  // Each type's range extremes, and one leading '+'.
+  Args edge({"--trials=-2147483648", "--seed=18446744073709551615", "--scale=+1e-300",
+             "--threads=+8"});
+  f.cli.parse(edge.argc(), edge.argv());
+  EXPECT_EQ(f.trials, INT_MIN);
+  EXPECT_EQ(f.seed, UINT64_MAX);
+  EXPECT_EQ(f.scale, 1e-300);
+  EXPECT_EQ(f.threads, 8);
 }
 
 TEST(Cli, AbsentFlagsKeepDefaults) {
@@ -68,25 +78,31 @@ TEST(Cli, UnknownFlagIsAnErrorNotSilence) {
 }
 
 TEST(Cli, MalformedValuesAreTypedErrors) {
-  {
+  const std::vector<std::vector<std::string>> bad = {
+      {"--trials", "20x0"},
+      {"--seed", "-3"},  // seed is unsigned
+      {"--scale", "fast"},
+      {"--trials"},  // dangling flag
+      // Out of range or not finite: each once parsed into a wrong number.
+      {"--trials=4294967297"},   // wrapped to 1
+      {"--trials=-2147483649"},  // clamped to INT_MAX
+      {"--seed", " -5"},         // wrapped to 18446744073709551611
+      {"--seed=18446744073709551616"},
+      {"--scale=nan"},
+      {"--scale=inf"},
+      {"--scale=1e999"},
+      // One leading '+' is the only decoration a number may carry.
+      {"--trials= 5"},
+      {"--trials=+-5"},
+      {"--scale=+"},
+  };
+  for (const auto& args : bad) {
     StdFlags f;
-    Args a({"--trials", "20x0"});
-    EXPECT_THROW(f.cli.parse(a.argc(), a.argv()), CliError);
-  }
-  {
-    StdFlags f;
-    Args a({"--seed", "-3"});  // seed is unsigned
-    EXPECT_THROW(f.cli.parse(a.argc(), a.argv()), CliError);
-  }
-  {
-    StdFlags f;
-    Args a({"--scale", "fast"});
-    EXPECT_THROW(f.cli.parse(a.argc(), a.argv()), CliError);
-  }
-  {
-    StdFlags f;
-    Args a({"--trials"});  // dangling flag
-    EXPECT_THROW(f.cli.parse(a.argc(), a.argv()), CliError);
+    Args a(args);
+    EXPECT_THROW(f.cli.parse(a.argc(), a.argv()), CliError) << args.back();
+    EXPECT_EQ(f.trials, 2000) << args.back();
+    EXPECT_EQ(f.seed, 1u) << args.back();
+    EXPECT_EQ(f.scale, 1.5) << args.back();
   }
 }
 

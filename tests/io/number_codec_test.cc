@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -178,6 +179,121 @@ TEST(NumberCodec, OutOfRangeLiteralsKeepStrtodsResult) {
   EXPECT_TRUE(std::signbit(j->items()[3].as_number()));
   EXPECT_EQ(j->items()[3].as_number(), 0.0);
 }
+
+// --- parse_number: the one-token grammar of LineServer fields and
+// exp::Cli flag values -----------------------------------------------------
+//
+// The whole token must be a T, optionally after a single '+'. Whitespace,
+// glued garbage, out-of-range values (overflow and, for doubles,
+// underflow) and non-finite doubles fail. Accepted tokens must give the
+// C library's value for the same text, bit for bit.
+
+struct TokenCase {
+  const char* name;
+  const char* text;
+  bool ok;
+};
+
+/// A stable rendering for test listings (the default would dump the
+/// struct's pointer bytes, which change from run to run).
+void PrintTo(const TokenCase& c, std::ostream* os) {
+  *os << '<' << c.text << (c.ok ? "> accepted" : "> rejected");
+}
+
+std::string case_name(const ::testing::TestParamInfo<TokenCase>& info) {
+  return info.param.name;
+}
+
+/// The token as the C library reads it: one leading '+' dropped.
+std::string without_plus(const char* text) {
+  return text[0] == '+' ? std::string(text + 1) : std::string(text);
+}
+
+class ParseNumberDouble : public ::testing::TestWithParam<TokenCase> {};
+
+TEST_P(ParseNumberDouble, AcceptsExactlyTheGrammar) {
+  const TokenCase& c = GetParam();
+  double got = 0.0;
+  ASSERT_EQ(parse_number(c.text, &got), c.ok) << "'" << c.text << "'";
+  if (!c.ok) return;
+  const double want = std::strtod(without_plus(c.text).c_str(), nullptr);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want)) << c.text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, ParseNumberDouble,
+    ::testing::Values(TokenCase{"Zero", "0", true}, TokenCase{"NegativeZero", "-0", true},
+                      TokenCase{"PlusSign", "+1.5", true},
+                      TokenCase{"NegativeScientific", "-2.5e10", true},
+                      TokenCase{"UpperCaseExponent", "1E5", true},
+                      TokenCase{"SignedExponent", "1e+5", true},
+                      TokenCase{"LeadingDot", ".5", true}, TokenCase{"PlusLeadingDot", "+.5", true},
+                      TokenCase{"TrailingDot", "5.", true}, TokenCase{"LeadingZeros", "007", true},
+                      TokenCase{"Tiny", "1e-300", true}, TokenCase{"Subnormal", "4.9e-324", true},
+                      TokenCase{"Largest", "1.7976931348623157e308", true},
+                      TokenCase{"Empty", "", false}, TokenCase{"PlusAlone", "+", false},
+                      TokenCase{"MinusAlone", "-", false}, TokenCase{"PlusMinus", "+-5", false},
+                      TokenCase{"DoublePlus", "++5", false},
+                      TokenCase{"LeadingSpace", " 5", false},
+                      TokenCase{"TrailingSpace", "5 ", false},
+                      TokenCase{"GluedGarbage", "1e-4x", false},
+                      TokenCase{"DanglingExponent", "1e", false},
+                      TokenCase{"ExponentOnly", "e5", false},
+                      TokenCase{"DecimalComma", "1,5", false}, TokenCase{"Hex", "0x1p3", false},
+                      TokenCase{"Nan", "nan", false}, TokenCase{"PlusNan", "+nan", false},
+                      TokenCase{"Inf", "inf", false}, TokenCase{"NegativeInf", "-inf", false},
+                      TokenCase{"Infinity", "infinity", false},
+                      TokenCase{"Overflow", "1e999", false},
+                      TokenCase{"NegativeOverflow", "-1e999", false},
+                      TokenCase{"Underflow", "1e-999", false}),
+    case_name);
+
+class ParseNumberInt : public ::testing::TestWithParam<TokenCase> {};
+
+TEST_P(ParseNumberInt, AcceptsExactlyTheGrammar) {
+  const TokenCase& c = GetParam();
+  int got = 0;
+  ASSERT_EQ(parse_number(c.text, &got), c.ok) << "'" << c.text << "'";
+  if (c.ok) EXPECT_EQ(got, std::strtoll(without_plus(c.text).c_str(), nullptr, 10)) << c.text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, ParseNumberInt,
+    ::testing::Values(TokenCase{"Zero", "0", true}, TokenCase{"NegativeZero", "-0", true},
+                      TokenCase{"PlusSign", "+8", true}, TokenCase{"LeadingZeros", "007", true},
+                      TokenCase{"Max", "2147483647", true}, TokenCase{"Min", "-2147483648", true},
+                      TokenCase{"MaxPlusOne", "2147483648", false},
+                      TokenCase{"MinMinusOne", "-2147483649", false},
+                      TokenCase{"TwoToThe32PlusOne", "4294967297", false},
+                      TokenCase{"Fraction", "1.0", false}, TokenCase{"Scientific", "1e3", false},
+                      TokenCase{"Hex", "0x10", false}, TokenCase{"GluedGarbage", "12abc", false},
+                      TokenCase{"LeadingSpace", " 5", false},
+                      TokenCase{"TrailingSpace", "5 ", false},
+                      TokenCase{"PlusMinus", "+-5", false}, TokenCase{"DoublePlus", "++5", false},
+                      TokenCase{"MinusAlone", "-", false}, TokenCase{"PlusAlone", "+", false},
+                      TokenCase{"Empty", "", false}),
+    case_name);
+
+class ParseNumberUint64 : public ::testing::TestWithParam<TokenCase> {};
+
+TEST_P(ParseNumberUint64, AcceptsExactlyTheGrammar) {
+  const TokenCase& c = GetParam();
+  std::uint64_t got = 0;
+  ASSERT_EQ(parse_number(c.text, &got), c.ok) << "'" << c.text << "'";
+  if (c.ok) EXPECT_EQ(got, std::strtoull(without_plus(c.text).c_str(), nullptr, 10)) << c.text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, ParseNumberUint64,
+    ::testing::Values(TokenCase{"Zero", "0", true}, TokenCase{"PlusZero", "+0", true},
+                      TokenCase{"Max", "18446744073709551615", true},
+                      TokenCase{"PlusMax", "+18446744073709551615", true},
+                      TokenCase{"MaxPlusOne", "18446744073709551616", false},
+                      TokenCase{"Negative", "-5", false},
+                      TokenCase{"SpaceThenNegative", " -5", false},
+                      TokenCase{"NegativeZero", "-0", false}, TokenCase{"PlusMinus", "+-1", false},
+                      TokenCase{"Fraction", "1.5", false}, TokenCase{"Empty", "", false}),
+    case_name);
 
 }  // namespace
 }  // namespace skyferry::io

@@ -1,8 +1,10 @@
 // Adversarial configuration suite: validate() must refuse every
 // non-finite / negative / inconsistent field, mismatched shared
-// PER-table caches, and unknown tags; the LinkSet on-disk format must
-// fail strict load on tampered or truncated files (the
-// policy::PolicyTable contract).
+// PER-table caches, and unknown tags, and no refused config may enter a
+// LinkSet, built or loaded; the LinkSet on-disk format must fail strict
+// load on tampered or truncated files (the policy::PolicyTable
+// contract).
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -23,9 +25,45 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 using link::LinkBackendConfig;
 
+/// LinkSet::checksum's recipe (FNV-1a over each link's compact JSON,
+/// '|'-separated), recomputed here from hand-edited JSON.
+std::string checksum_of(const io::Json& links) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const io::Json& l : links.items()) {
+    for (const char c : l.dump() + "|") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// A rejected config must not get into a LinkSet by any route: built
+/// directly, or loaded from a valid link-set file hand-edited to hold it
+/// (checksum recomputed, so only the config itself can fail the load).
+/// DecisionService::install_links relies on this: it never revalidates.
 void expect_rejected(LinkBackendConfig cfg, const char* why) {
   EXPECT_THROW(cfg.validate(), link::ConfigError) << why;
   EXPECT_THROW((void)link::make_backend(cfg), link::ConfigError) << why;
+  EXPECT_THROW(link::LinkSet({LinkBackendConfig::wifi_80211n(), cfg}), link::ConfigError) << why;
+
+  const link::LinkSet valid({LinkBackendConfig::wifi_80211n()});
+  io::Json file = valid.to_json();
+  ASSERT_EQ(checksum_of(*file.find("links")), valid.checksum());
+  io::Json links = *file.find("links");
+  links.push_back(cfg.to_json());
+  file.set("links", links);
+  file.set("checksum", checksum_of(links));
+  if (cfg.shared_tables || cfg.mac.shared_tables) {
+    // Shared PER tables are a runtime cache, not part of the file: the
+    // edited file holds the config without its mismatched cache, which
+    // is valid, so the defect cannot reach a loaded set.
+    EXPECT_NO_THROW((void)link::LinkSet::from_json(file)) << why;
+  } else {
+    EXPECT_THROW((void)link::LinkSet::from_json(file), link::ConfigError) << why;
+  }
 }
 
 TEST(BackendConfig, PresetsValidateAndBuild) {

@@ -96,23 +96,24 @@ TEST(MultiLinkContract, ForcedBurstElectionIsHonored) {
   const std::vector<const link::LinkBackend*> views = set->views();
   const link::MultiLinkParams p{1500.0, 10.0, 5e7, 20.0};
   const uav::FailureModel failure(1e-3);
-  for (int j = 0; j < static_cast<int>(views.size()); ++j) {
-    const link::MultiLinkResult r = link::optimize_multilink(views, p, failure, {}, j);
-    EXPECT_EQ(r.burst_link, j);
-  }
+  const std::vector<link::MultiLinkResult> forced =
+      link::optimize_multilink_per_link(views, p, failure);
+  ASSERT_EQ(forced.size(), views.size());
+  for (int j = 0; j < static_cast<int>(views.size()); ++j)
+    EXPECT_EQ(forced[static_cast<std::size_t>(j)].burst_link, j);
   // A free election picks the argmax over forced elections.
   const link::MultiLinkResult free = link::optimize_multilink(views, p, failure);
   for (int j = 0; j < static_cast<int>(views.size()); ++j) {
-    const link::MultiLinkResult forced = link::optimize_multilink(views, p, failure, {}, j);
-    EXPECT_GE(free.decision.utility, forced.decision.utility) << "forced=" << j;
+    EXPECT_GE(free.decision.utility, forced[static_cast<std::size_t>(j)].decision.utility)
+        << "forced=" << j;
   }
-  // Out-of-range forced index: no usable election.
-  const link::MultiLinkResult oob = link::optimize_multilink(views, p, failure, {}, 99);
-  EXPECT_EQ(oob.burst_link, -1);
-  EXPECT_EQ(oob.decision.utility, 0.0);
-  // Empty link list: same.
+  const link::MultiLinkResult& won = forced[static_cast<std::size_t>(free.burst_link)];
+  EXPECT_EQ(free.decision.utility, won.decision.utility);
+  EXPECT_EQ(free.decision.d_opt_m, won.decision.d_opt_m);
+  // Empty link list: no usable election.
   const link::MultiLinkResult none = link::optimize_multilink({}, p, failure);
   EXPECT_EQ(none.burst_link, -1);
+  EXPECT_EQ(none.decision.utility, 0.0);
 }
 
 TEST(MultiLinkContract, TrickleBytesBasics) {
@@ -187,20 +188,34 @@ TEST(MultiLinkContract, ServiceBatchMatchesOneByOneAndValidates) {
   service.install_links(full_link_set());
   std::vector<policy::Query> queries(3, q);
   queries[1].d0_m = 1500.0;
-  queries[2].burst_link = 1;
+  queries[2].rho_per_m = 2e-3;
   std::vector<policy::MultiLinkDecision> out(3);
+  // One exact call per query, on the joint path and on the fallback.
+  for (const policy::DecisionService* s : {&service, &bare}) {
+    const policy::DecisionService::Counters before = s->counters();
+    s->decide_multilink(queries, out);
+    const policy::DecisionService::Counters after = s->counters();
+    EXPECT_EQ(after.exact - before.exact, queries.size());
+    EXPECT_EQ(after.table, before.table);
+  }
   service.decide_multilink(queries, out);
   for (std::size_t i = 0; i < queries.size(); ++i) {
+    const policy::DecisionService::Counters before = service.counters();
     const policy::MultiLinkDecision one = service.decide_multilink_one(queries[i]);
+    EXPECT_EQ(service.counters().exact - before.exact, 1u);
     EXPECT_EQ(out[i].decision.d_opt_m, one.decision.d_opt_m);
     EXPECT_EQ(out[i].decision.utility, one.decision.utility);
     EXPECT_EQ(out[i].burst_link, one.burst_link);
     EXPECT_EQ(out[i].trickle_bytes, one.trickle_bytes);
   }
-  EXPECT_EQ(out[2].burst_link, 1);
 
   std::vector<policy::MultiLinkDecision> wrong(2);
   EXPECT_THROW(service.decide_multilink(queries, wrong), std::invalid_argument);
+  // A re-election needs exactly one slot per installed link.
+  std::vector<policy::MultiLinkDecision> per_link(full_link_set()->size() + 1);
+  EXPECT_THROW(service.decide_multilink_per_link(q, per_link), std::invalid_argument);
+  per_link.resize(per_link.size() - 2);
+  EXPECT_THROW(service.decide_multilink_per_link(q, per_link), std::invalid_argument);
 }
 
 /// decide_multilink is const and shared: the TSan tree runs this to

@@ -7,11 +7,11 @@
 // only in this file, together with the search schedule it ran, so the
 // oracle shares no code with the optimizer under test. Over seeded
 // queries spanning degenerate intervals, a binding trickle cap, every
-// failure law, small and default grids, every forced index and three
-// link sets, the optimizer must match the oracle bit for bit on every
-// result field; the per-link pass and DecisionService's one-pass
-// re-election must match the forced calls the same way, counters
-// included.
+// failure law, small and default grids and three link sets, the free
+// election and every element of the per-link pass must match the
+// oracle's free and forced elections bit for bit on every result
+// field; DecisionService's one-pass re-election must match the forced
+// oracle the same way, counters included.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -342,36 +342,40 @@ TEST(MultiLinkTabulated, MatchesPreTabulationOracleBitForBit) {
   const auto sets = link_sets();
   int degenerate = 0;
   int cap_binds = 0;
-  int out_of_range = 0;
   int law_seen[3] = {0, 0, 0};
   FOR_ALL(10'500, 0x7AB1E5ULL, g) {
     const auto& set = sets[static_cast<std::size_t>(g.uniform_int(0, 2))];
     const std::vector<const link::LinkBackend*> views = set->views();
     const int n = static_cast<int>(views.size());
     const policy::Query q = draw_query(g);
-    // -1 (free election), each index, or one past / far past the set.
-    const int pick = g.uniform_int(-1, n + 1);
-    const int forced = pick == n + 1 ? 99 : pick;
     const link::MultiLinkParams p = params_of(q);
     const uav::FailureModel failure = failure_of(q);
 
-    const link::MultiLinkResult want = oracle_multilink(views, p, failure, q.optimize, forced);
-    const link::MultiLinkResult got =
-        link::optimize_multilink(views, p, failure, q.optimize, forced);
-    ASSERT_TRUE(same_result(got, want))
-        << "links=" << n << " forced=" << forced << " d0=" << p.d0_m << " min_d="
-        << p.min_distance_m << " v=" << p.speed_mps << " M=" << p.mdata_bytes
-        << " rho=" << q.rho_per_m << " grid=" << q.optimize.grid_points;
+    const link::MultiLinkResult want = oracle_multilink(views, p, failure, q.optimize, -1);
+    const link::MultiLinkResult got = link::optimize_multilink(views, p, failure, q.optimize);
+    const auto where = [&](int forced) {
+      return ::testing::Message()
+             << "links=" << n << " forced=" << forced << " d0=" << p.d0_m << " min_d="
+             << p.min_distance_m << " v=" << p.speed_mps << " M=" << p.mdata_bytes
+             << " rho=" << q.rho_per_m << " grid=" << q.optimize.grid_points;
+    };
+    ASSERT_TRUE(same_result(got, want)) << where(-1);
+    const std::vector<link::MultiLinkResult> per_link =
+        link::optimize_multilink_per_link(views, p, failure, q.optimize);
+    ASSERT_EQ(per_link.size(), views.size());
+    for (int j = 0; j < n; ++j) {
+      ASSERT_TRUE(same_result(per_link[static_cast<std::size_t>(j)],
+                              oracle_multilink(views, p, failure, q.optimize, j)))
+          << where(j);
+    }
 
     degenerate += p.d0_m <= p.min_distance_m ? 1 : 0;
     cap_binds += (want.burst_link >= 0 && n > 1 && want.trickle_bytes == p.mdata_bytes) ? 1 : 0;
-    out_of_range += forced >= n ? 1 : 0;
     ++law_seen[static_cast<int>(q.law)];
   }
   // Every axis of the draw was actually exercised.
   EXPECT_GT(degenerate, 100);
   EXPECT_GT(cap_binds, 100);
-  EXPECT_GT(out_of_range, 100);
   for (const int seen : law_seen) EXPECT_GT(seen, 1000);
 }
 
@@ -399,9 +403,27 @@ TEST(MultiLinkTabulated, PerLinkPassMatchesEveryForcedCall) {
                   .empty());
 }
 
+/// The service's view of an oracle election: what decide_multilink_per_link
+/// must put in the slot of the forced link.
+policy::MultiLinkDecision service_answer(const policy::Query& q, const link::MultiLinkResult& r) {
+  policy::MultiLinkDecision d;
+  d.decision.d_opt_m = r.decision.d_opt_m;
+  d.decision.v_opt_mps = q.speed_mps;
+  d.decision.utility = r.decision.utility;
+  d.decision.cdelay_s = r.decision.cdelay_s;
+  d.decision.discount = r.decision.discount;
+  d.decision.rho_per_m = failure_of(q).rho();
+  d.decision.boundary = r.decision.boundary;
+  d.decision.evaluations = r.decision.evaluations;
+  d.burst_link = r.burst_link;
+  d.trickle_bytes = r.trickle_bytes;
+  d.burst_bytes = r.burst_bytes;
+  return d;
+}
+
 /// The fleet's re-election entry point: one pass answers every forced
-/// election, bit for bit, and the exact counter advances by one per
-/// answer — as the per-link forced calls did.
+/// election, bit for bit against the oracle, and the exact counter
+/// advances by one per answer — as one forced call per link would.
 TEST(MultiLinkTabulated, ServiceReElectionMatchesForcedDecides) {
   const link::LinkBackendConfig wifi = link::LinkBackendConfig::wifi_80211n();
   const core::PaperLogThroughput model(wifi.wifi_a, wifi.wifi_b, wifi.name, wifi.wifi_scale,
@@ -418,11 +440,10 @@ TEST(MultiLinkTabulated, ServiceReElectionMatchesForcedDecides) {
   FOR_ALL(600, 0x4EE1ULL, g) {
     const std::size_t si = static_cast<std::size_t>(g.uniform_int(0, 3));
     const policy::DecisionService& service = *services[si];
-    const std::size_t installed = si < sets.size() ? sets[si]->size() : 0;
-    // One slot per installed link, sometimes one more (out of range).
-    const std::size_t slots = std::max<std::size_t>(installed, 1) + (g.chance(0.2) ? 1 : 0);
-    policy::Query q = draw_query(g);
-    q.burst_link = g.uniform_int(-1, 3);  // ignored by the one-pass entry
+    const bool installed = si < sets.size();
+    // One slot per installed link; with no set, any count of fallbacks.
+    const std::size_t slots = installed ? sets[si]->size() : 1 + (g.chance(0.5) ? 1 : 0);
+    const policy::Query q = draw_query(g);
 
     std::vector<policy::MultiLinkDecision> got(slots);
     const policy::DecisionService::Counters before = service.counters();
@@ -431,15 +452,23 @@ TEST(MultiLinkTabulated, ServiceReElectionMatchesForcedDecides) {
     EXPECT_EQ(mid.exact - before.exact, slots);
     EXPECT_EQ(mid.table, before.table);
 
+    policy::MultiLinkDecision fallback;
+    if (!installed) {
+      // The single-link exact optimum, tagged (decide_one: no table, so exact).
+      fallback.decision = service.decide_one(q);
+      fallback.decision.fallback_reason = policy::FallbackReason::kNoLinkSet;
+      fallback.burst_bytes = q.mdata_bytes;
+    }
     for (std::size_t j = 0; j < slots; ++j) {
-      policy::Query forced = q;
-      forced.burst_link = static_cast<std::int32_t>(j);
-      const policy::MultiLinkDecision want = service.decide_multilink_one(forced);
+      const policy::MultiLinkDecision want =
+          installed ? service_answer(q, oracle_multilink(sets[si]->views(), params_of(q),
+                                                         failure_of(q), q.optimize,
+                                                         static_cast<int>(j)))
+                    : fallback;
       ASSERT_TRUE(same_decision(got[j], want))
           << "service " << si << " link " << j << " of " << slots << " d0=" << q.d0_m
           << " M=" << q.mdata_bytes << " grid=" << q.optimize.grid_points;
     }
-    EXPECT_EQ(service.counters().exact - mid.exact, slots);
   }
 }
 

@@ -112,19 +112,91 @@ TEST(LinkSimulator, SamplesCoverDuration) {
 }
 
 TEST(LinkSimulator, InfiniteMeterWindowSkipsSampling) {
-  LinkConfig cfg = quad_cfg();
-  cfg.meter_window_s = std::numeric_limits<double>::infinity();
-  FixedMcs rc(1);
-  LinkSimulator sim(cfg, rc, 31);
-  const auto res = sim.run_saturated(5.0, static_geometry(40.0));
-  EXPECT_TRUE(res.samples.empty());
-  EXPECT_TRUE(res.transfer_curve_mb.empty());
-  // Totals are unaffected by disabling the meter.
   FixedMcs rc2(1);
   LinkSimulator metered(quad_cfg(), rc2, 31);
   const auto ref = metered.run_saturated(5.0, static_geometry(40.0));
-  EXPECT_EQ(res.payload_bits_delivered, ref.payload_bits_delivered);
-  EXPECT_EQ(res.exchanges, ref.exchanges);
+  ASSERT_FALSE(ref.samples.empty());
+  // A non-positive window disables the meter the same way.
+  for (const double window : {std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    LinkConfig cfg = quad_cfg();
+    cfg.meter_window_s = window;
+    FixedMcs rc(1);
+    LinkSimulator sim(cfg, rc, 31);
+    const auto res = sim.run_saturated(5.0, static_geometry(40.0));
+    EXPECT_TRUE(res.samples.empty()) << window;
+    EXPECT_TRUE(res.transfer_curve_mb.empty()) << window;
+    // Totals are unaffected by disabling the meter.
+    EXPECT_EQ(res.payload_bits_delivered, ref.payload_bits_delivered) << window;
+    EXPECT_EQ(res.exchanges, ref.exchanges) << window;
+  }
+}
+
+// --- The meter window ------------------------------------------------------
+//
+// LinkRunResult::samples is the windowed throughput meter behind every
+// throughput figure: contiguous windows that account for every delivered
+// bit, a partial last window closed at the end of the run, and zero-rate
+// windows (not gaps) while nothing gets through.
+
+TEST(LinkSimulator, MeterWindowsAccountForEveryDeliveredBit) {
+  FixedMcs rc(2);
+  LinkSimulator sim(quad_cfg(), rc, 41);
+  const auto res = sim.run_saturated(12.0, static_geometry(40.0));
+  ASSERT_GE(res.samples.size(), 20u);
+  ASSERT_EQ(res.transfer_curve_mb.size(), res.samples.size());
+  double start = 0.0;
+  double bits = 0.0;
+  for (std::size_t i = 0; i < res.samples.size(); ++i) {
+    const double span = res.samples[i].t_s - start;
+    // Every window but the closing one spans at least the meter window.
+    if (i + 1 < res.samples.size()) EXPECT_GE(span, 0.5) << i;
+    EXPECT_GT(span, 0.0) << i;
+    bits += res.samples[i].mbps * span * 1e6;
+    EXPECT_NEAR(res.transfer_curve_mb[i].mbps, bits / 8e6, 1e-9) << i;
+    start = res.samples[i].t_s;
+  }
+  EXPECT_DOUBLE_EQ(start, res.duration_s);
+  EXPECT_NEAR(bits, static_cast<double>(res.payload_bits_delivered),
+              1e-9 * static_cast<double>(res.payload_bits_delivered));
+  EXPECT_DOUBLE_EQ(res.transfer_curve_mb.back().mbps,
+                   static_cast<double>(res.payload_bits_delivered) / 8e6);
+}
+
+TEST(LinkSimulator, ShortTransferClosesOnePartialWindow) {
+  LinkConfig cfg = quad_cfg();
+  cfg.meter_window_s = 10.0;
+  FixedMcs rc(1);
+  LinkSimulator sim(cfg, rc, 43);
+  const auto res = sim.run_transfer(200'000, 60.0, static_geometry(20.0));
+  ASSERT_TRUE(res.completed);
+  ASSERT_LT(res.duration_s, cfg.meter_window_s);
+  ASSERT_EQ(res.samples.size(), 1u);
+  EXPECT_DOUBLE_EQ(res.samples[0].t_s, res.duration_s);
+  EXPECT_DOUBLE_EQ(res.samples[0].mbps, res.mean_goodput_mbps());
+}
+
+TEST(LinkSimulator, OutOfRangeStretchReadsZeroWindows) {
+  // In range, then 2 km away for 5 s, then back: the meter keeps ticking
+  // through the outage with zero-rate windows instead of skipping it.
+  FixedMcs rc(1);
+  LinkSimulator sim(quad_cfg(), rc, 47);
+  const auto res = sim.run_saturated(15.0, [](double t) {
+    return Geometry{(t >= 5.0 && t < 10.0) ? 2000.0 : 20.0, 0.0};
+  });
+  int zero_in_outage = 0;
+  double before = 0.0;
+  double after = 0.0;
+  for (const ThroughputSample& s : res.samples) {
+    if (s.t_s > 6.0 && s.t_s < 10.0) {
+      EXPECT_EQ(s.mbps, 0.0) << s.t_s;
+      ++zero_in_outage;
+    }
+    if (s.t_s < 5.0) before = std::max(before, s.mbps);
+    if (s.t_s > 11.0) after = std::max(after, s.mbps);
+  }
+  EXPECT_GE(zero_in_outage, 4);
+  EXPECT_GT(before, 10.0);
+  EXPECT_GT(after, 10.0);
 }
 
 // --- kPerMpdu / kAggregate statistical equivalence -----------------------

@@ -86,55 +86,6 @@ TEST(Uav, GpsFixTracksPosition) {
   EXPECT_LT(geo::distance(u.gps_fix(), u.position()), 15.0);
 }
 
-TEST(Uav, WindDriftsTheGroundTrack) {
-  // Steady 2 m/s crosswind: a quad told to hover in place drifts unless
-  // the autopilot keeps correcting; with correction it holds near the
-  // waypoint but the odometer shows the extra work.
-  UavConfig cfg = quad_at({0.0, 0.0, 10.0}, "windy");
-  cfg.wind = [](double) { return geo::Vec3{2.0, 0.0, 0.0}; };
-  Uav u(cfg, 31);
-  u.goto_and_hold({0.0, 0.0, 10.0});
-  double t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    u.tick(t, 0.05);
-    t += 0.05;
-  }
-  // Station-keeping against the wind keeps it within the accept zone.
-  EXPECT_LT(geo::distance(u.position(), {0.0, 0.0, 10.0}), 12.0);
-
-  // Same vehicle with no position hold (idle) just drifts downwind.
-  UavConfig cfg2 = quad_at({0.0, 0.0, 10.0}, "adrift");
-  cfg2.wind = [](double) { return geo::Vec3{2.0, 0.0, 0.0}; };
-  Uav drifter(cfg2, 32);
-  t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    drifter.tick(t, 0.05);
-    t += 0.05;
-  }
-  EXPECT_GT(drifter.position().x, 150.0);  // ~2 m/s * 100 s
-}
-
-TEST(Uav, HeadwindSlowsTheFerryLeg) {
-  auto fly_time = [](const std::function<geo::Vec3(double)>& wind) {
-    UavConfig cfg;
-    cfg.id = "ferry";
-    cfg.platform = PlatformSpec::arducopter();
-    cfg.start_pos = {0.0, 0.0, 10.0};
-    cfg.wind = wind;
-    Uav u(cfg, 33);
-    u.goto_and_hold({80.0, 0.0, 10.0});
-    double t = 0.0;
-    while (geo::distance(u.position(), {80.0, 0.0, 10.0}) > 4.0 && t < 120.0) {
-      u.tick(t, 0.05);
-      t += 0.05;
-    }
-    return t;
-  };
-  const double still = fly_time(nullptr);
-  const double headwind = fly_time([](double) { return geo::Vec3{-2.0, 0.0, 0.0}; });
-  EXPECT_GT(headwind, still * 1.2);
-}
-
 TEST(Uav, InFlightFailureGroundsVehicle) {
   // High failure rate: the drawn distance-to-failure is short, and the
   // vehicle goes down mid-leg.
